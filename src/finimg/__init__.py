@@ -59,10 +59,8 @@ from .experiment import (
     ExperimentReport,
     RunRecord,
     emit_report,
-    run_autoencoder_study,
     run_compare,
     run_method,
-    run_reduced_padding_study,
 )
 
 __version__ = "0.1.0"

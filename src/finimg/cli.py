@@ -15,27 +15,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    apply_standardizer,
-    fit_standardizer,
-    load_dataset,
-    out_of_time_split,
-    save_csv,
+from .data import load_dataset, save_csv
+from .encoding import (
+    DETERMINISTIC_METHODS,
+    RANDOMIZED_METHODS,
+    arrange,
+    default_spec,
+    render_pgm,
+    save_grid,
 )
-from .encoding import arrange, default_spec, render_pgm, save_grid
 from .experiment import (
     ALL_METHODS,
     ExperimentConfig,
+    classifier_spec,
     emit_report,
     evaluate_pipeline,
     fit_pipeline,
-    grid_tensor,
     load_or_generate,
     load_pipeline,
+    prepare_pipeline,
     run_compare,
     save_pipeline,
 )
-from .nnet import TrainConfig, build_cnn1d, build_cnn2d, grid_search
+from .nnet import TrainConfig, grid_search
 from .schema import save_schema
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -258,27 +260,14 @@ def _cmd_grid_search(args) -> int:
     with _stage("data"):
         ds = load_or_generate(config)
     with _stage("train"):
-        train_raw, test_raw = out_of_time_split(ds, config.test_year)
-        params = fit_standardizer(train_raw)
-        train_ds = apply_standardizer(train_raw, params)
-        test_ds = apply_standardizer(test_raw, params)
-        d = len(ds.schema)
-        if args.model == "cnn1d":
-            def builder(n1, n2):
-                return build_cnn1d(d, filters1=n1, filters2=n2)
+        pipe, tx, train_raw, test_raw = prepare_pipeline(
+            config, args.model, ds, config.train, arrangement_seed=config.arrangement_seed)
 
-            tx, vx = train_ds.values[:, None, :], test_ds.values[:, None, :]
-        else:
-            spec = default_spec(args.model, ds.schema, seed=config.arrangement_seed)
-            probe = arrange(np.zeros(d), ds.schema, spec)
+        def builder(n1, n2):
+            return classifier_spec(args.model, tx, filters1=n1, filters2=n2)
 
-            def builder(n1, n2):
-                return build_cnn2d(probe.rows, probe.cols, filters1=n1, filters2=n2)
-
-            tx = grid_tensor(train_ds.values, probe)
-            vx = grid_tensor(test_ds.values, probe)
-        best, rows = grid_search(builder, grid, (tx, train_ds.labels),
-                                 (vx, test_ds.labels), config.train)
+        best, rows = grid_search(builder, grid, (tx, train_raw.labels),
+                                 (pipe.transform(test_raw), test_raw.labels), config.train)
     with _stage("report"):
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -318,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--method", required=True,
-                   choices=("sa", "ra", "cca", "wcr", "bcr", "hva", "hvr"))
+                   choices=DETERMINISTIC_METHODS + RANDOMIZED_METHODS)
     p.add_argument("--row", type=int, default=0)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

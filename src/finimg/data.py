@@ -153,16 +153,20 @@ def apply_standardizer(ds: Dataset, params: StandardizationParams) -> Dataset:
             f"standardizer for {params.mean.shape[0]} features applied to "
             f"{len(ds.schema)}-feature dataset"
         )
-    values = (ds.values - params.mean) / params.stddev
-    values = np.where(np.isnan(values), 0.0, values)
     return Dataset(
         schema=ds.schema,
         entity_ids=ds.entity_ids,
         years=ds.years,
         quarters=ds.quarters,
-        values=values,
+        values=standardize(ds.values, params),
         labels=ds.labels,
     )
+
+
+def standardize(values: np.ndarray, params: StandardizationParams) -> np.ndarray:
+    """Z-score a value matrix; missing entries become 0 afterwards."""
+    values = (values - params.mean) / params.stddev
+    return np.where(np.isnan(values), 0.0, values)
 
 
 _META_COLUMNS = ["id", "year", "quarter", "rating"]

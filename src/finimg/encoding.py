@@ -1,9 +1,10 @@
 """Arrangements of a 1D feature vector into a 2D image grid.
 
 Seven methods: sequential (SA), category chunks (CCA), Hilbert curve (HVA),
-and their randomized controls (RA, WCR, BCR, HVR). Every grid carries a
-provenance map from each cell back to its source feature index, with
-ZERO_PAD marking padding cells; padded cells hold exactly 0.
+and their randomized controls (RA, WCR, BCR, HVR). Each method is an index
+map (the provenance) from every cell to its source feature index, with
+ZERO_PAD marking padding cells. grid_tensor is the one gather that images
+values through a map; padded cells hold exactly 0.
 
 Randomized methods draw all randomness from an explicit seed through
 numpy's default PCG64 generator, so a published seed reproduces a grid.
@@ -56,33 +57,32 @@ class ImageGrid:
         return int((self.provenance == ZERO_PAD).sum())
 
 
-def _grid_from_provenance(v: np.ndarray, provenance: np.ndarray) -> ImageGrid:
-    if v.size == 0:
-        cells = np.zeros(provenance.shape)
-    else:
-        cells = np.where(provenance >= 0, v[np.clip(provenance, 0, None)], 0.0)
-    return ImageGrid(cells=cells.astype(float), provenance=provenance)
+def grid_tensor(values: np.ndarray, provenance: np.ndarray) -> np.ndarray:
+    """The one gather: image every row of values through an index map.
+
+    Returns an (n, 1, rows, cols) tensor; ZERO_PAD cells hold exactly 0.
+    """
+    images = np.zeros((values.shape[0], 1) + provenance.shape)
+    mask = provenance >= 0
+    images[:, 0, mask] = values[:, provenance[mask]]
+    return images
 
 
-def sequential_arrange(v: np.ndarray, rows: int, cols: int) -> ImageGrid:
-    """Row-major packing of v into rows x cols, zero-padded at the end."""
+def _image(v: np.ndarray, provenance: np.ndarray) -> ImageGrid:
     v = np.asarray(v, dtype=float)
-    d = v.shape[0]
+    return ImageGrid(cells=grid_tensor(v[None, :], provenance)[0, 0], provenance=provenance)
+
+
+def _sequential_map(d: int, rows: int, cols: int) -> np.ndarray:
     if d > rows * cols:
         raise CapacityError(f"{d} features exceed {rows}x{cols} grid")
     prov = np.full(rows * cols, ZERO_PAD, dtype=int)
     prov[:d] = np.arange(d)
-    return _grid_from_provenance(v, prov.reshape(rows, cols))
+    return prov.reshape(rows, cols)
 
 
-def category_chunk_arrange(
-    v: np.ndarray,
-    schema: FeatureSchema,
-    chunk_dims: tuple[int, int],
-    chunk_layout: tuple[int, int],
-) -> ImageGrid:
-    """One zero-padded chunk per section, chunks tiled row-major."""
-    v = np.asarray(v, dtype=float)
+def _chunk_map(schema: FeatureSchema, chunk_dims: tuple[int, int],
+               chunk_layout: tuple[int, int]) -> np.ndarray:
     h, w = chunk_dims
     grid_rows, grid_cols = chunk_layout
     sections = schema.section_order
@@ -104,20 +104,37 @@ def category_chunk_arrange(
         r0 = (k // grid_cols) * h
         c0 = (k % grid_cols) * w
         prov[r0 : r0 + h, c0 : c0 + w] = chunk.reshape(h, w)
-    return _grid_from_provenance(v, prov)
+    return prov
 
 
-def hilbert_arrange(v: np.ndarray) -> ImageGrid:
-    """Place v along the minimal-order Hilbert curve, padding the tail."""
-    v = np.asarray(v, dtype=float)
-    d = v.shape[0]
+def _hilbert_map(d: int) -> np.ndarray:
     order = min_order(d)
     side = order.side
     prov = np.full((side, side), ZERO_PAD, dtype=int)
     for i in range(d):
         x, y = hilbert_d2xy(order, i)
         prov[side - 1 - y, x] = i
-    return _grid_from_provenance(v, prov)
+    return prov
+
+
+def sequential_arrange(v: np.ndarray, rows: int, cols: int) -> ImageGrid:
+    """Row-major packing of v into rows x cols, zero-padded at the end."""
+    return _image(v, _sequential_map(len(v), rows, cols))
+
+
+def category_chunk_arrange(
+    v: np.ndarray,
+    schema: FeatureSchema,
+    chunk_dims: tuple[int, int],
+    chunk_layout: tuple[int, int],
+) -> ImageGrid:
+    """One zero-padded chunk per section, chunks tiled row-major."""
+    return _image(v, _chunk_map(schema, chunk_dims, chunk_layout))
+
+
+def hilbert_arrange(v: np.ndarray) -> ImageGrid:
+    """Place v along the minimal-order Hilbert curve, padding the tail."""
+    return _image(v, _hilbert_map(len(v)))
 
 
 @dataclass(frozen=True)
@@ -181,44 +198,41 @@ def randomize_arrangement(
     bcr: a uniform permutation of the chunk positions, contents fixed.
     hvr: one uniform permutation of all features, then Hilbert packing.
     """
-    v = np.asarray(v, dtype=float)
     rng = np.random.default_rng(seed)
-    d = v.shape[0]
+    d = len(v)
     if spec.method == "ra":
-        grid = sequential_arrange(v, spec.rows, spec.cols)
-        return _apply_position_map(grid, v, rng.permutation(d))
+        prov = _sequential_map(d, spec.rows, spec.cols)
+        return _image(v, _permute_features(prov, rng.permutation(d)))
     if spec.method == "hvr":
-        grid = hilbert_arrange(v)
-        return _apply_position_map(grid, v, rng.permutation(d))
+        return _image(v, _permute_features(_hilbert_map(d), rng.permutation(d)))
     if spec.method == "wcr":
         perm = np.arange(d)
         for label, sl in schema.section_slices().items():
             idx = np.arange(sl.start, sl.stop)
             perm[sl] = rng.permutation(idx)
-        grid = category_chunk_arrange(v, schema, spec.chunk_dims, spec.chunk_layout)
-        return _apply_position_map(grid, v, perm)
+        prov = _chunk_map(schema, spec.chunk_dims, spec.chunk_layout)
+        return _image(v, _permute_features(prov, perm))
     if spec.method == "bcr":
-        base = category_chunk_arrange(v, schema, spec.chunk_dims, spec.chunk_layout)
+        base = _chunk_map(schema, spec.chunk_dims, spec.chunk_layout)
         n_sections = len(schema.section_order)
         slot_of_section = rng.permutation(n_sections)
         h, w = spec.chunk_dims
         grid_cols = spec.chunk_layout[1]
-        prov = np.full_like(base.provenance, ZERO_PAD)
+        prov = np.full_like(base, ZERO_PAD)
         for k in range(n_sections):
             r0, c0 = (k // grid_cols) * h, (k % grid_cols) * w
             s = int(slot_of_section[k])
             r1, c1 = (s // grid_cols) * h, (s % grid_cols) * w
-            prov[r1 : r1 + h, c1 : c1 + w] = base.provenance[r0 : r0 + h, c0 : c0 + w]
-        return _grid_from_provenance(v, prov)
+            prov[r1 : r1 + h, c1 : c1 + w] = base[r0 : r0 + h, c0 : c0 + w]
+        return _image(v, prov)
     raise ValueError(f"{spec.method!r} is not a randomized method")
 
 
-def _apply_position_map(grid: ImageGrid, v: np.ndarray, perm: np.ndarray) -> ImageGrid:
+def _permute_features(prov: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Placement slot that held feature i now holds feature perm[i]."""
-    prov = grid.provenance.copy()
     occupied = prov >= 0
     prov[occupied] = perm[prov[occupied]]
-    return _grid_from_provenance(v, prov)
+    return prov
 
 
 def reduce_features(ds: Dataset, target: int) -> tuple[Dataset, FeatureSchema]:

@@ -28,11 +28,13 @@ from .data import (
     fit_standardizer,
     load_dataset,
     out_of_time_split,
+    standardize,
 )
 from .encoding import (
-    ImageGrid,
+    RANDOMIZED_METHODS,
     arrange,
     default_spec,
+    grid_tensor,
     reduce_features,
     sequential_arrange,
 )
@@ -53,6 +55,8 @@ from .nnet import (
     build_cnn2d,
     build_mlp,
     encoder_layer_count,
+    network_arrays,
+    network_from_arrays,
     save_arrays,
     train,
     with_seed,
@@ -73,7 +77,7 @@ ALL_METHODS = (
     "reduced_hva",
     "autoencoder_sa",
 )
-RANDOMIZED = {"ra", "wcr", "bcr", "hvr"}
+RANDOMIZED = RANDOMIZED_METHODS
 CONTROL_OF = {"sa": ("ra",), "cca": ("wcr", "bcr"), "hva": ("hvr",)}
 
 METHOD_TITLES = {
@@ -198,15 +202,6 @@ def load_or_generate(config: ExperimentConfig) -> Dataset:
     return generate_synthetic(config.synthetic)
 
 
-def grid_tensor(values: np.ndarray, grid: ImageGrid) -> np.ndarray:
-    """Apply one arrangement's provenance to every observation at once."""
-    n = values.shape[0]
-    images = np.zeros((n, 1, grid.rows, grid.cols))
-    mask = grid.provenance >= 0
-    images[:, 0, mask] = values[:, grid.provenance[mask]]
-    return images
-
-
 def _metrics_record(method: str, run_index: int, arrangement_seed: int | None,
                     train_seed: int, y_true: np.ndarray, y_pred: np.ndarray) -> RunRecord:
     pset = PredictionSet(y_true, y_pred)
@@ -265,35 +260,35 @@ class FittedPipeline:
     method: str
     keep: np.ndarray
     standardizer: StandardizationParams
-    network: Network
-    grid: ImageGrid | None = None
+    network: Network | None = None
+    provenance: np.ndarray | None = None
     autoencoder: Network | None = None
 
     def transform(self, ds: Dataset) -> np.ndarray:
         values = ds.values
         if values.shape[1] != self.keep.shape[0]:
             values = values[:, self.keep]
-        values = (values - self.standardizer.mean) / self.standardizer.stddev
-        values = np.where(np.isnan(values), 0.0, values)
+        values = standardize(values, self.standardizer)
         if self.method == "mlp":
             return values
         if self.method == "cnn1d":
             return values[:, None, :]
         if self.method == "autoencoder_sa":
             values = encode_codes(self.autoencoder, values)
-        return grid_tensor(values, self.grid)
+        return grid_tensor(values, self.provenance)
 
     def predict_classes(self, ds: Dataset) -> np.ndarray:
         return self.network.predict_classes(self.transform(ds))
 
 
-def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
-                 train_seed: int, arrangement_seed: int = 0,
-                 ) -> tuple[FittedPipeline, RunRecord, int]:
-    """Split, standardize, encode, and train one model; also evaluates it.
+def prepare_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
+                     train_config: TrainConfig, arrangement_seed: int = 0,
+                     ) -> tuple[FittedPipeline, np.ndarray, Dataset, Dataset]:
+    """Everything before the classifier: reduce, split, standardize, encode.
 
-    Returns the fitted pipeline, the test-set record for this run, and
-    the run's arrangement seed (meaningful for randomized methods only).
+    Returns the pipeline without its classifier network, the encoded
+    training inputs, and the raw training and test splits. The
+    auto-encoder of autoencoder_sa is trained here, on training rows only.
     """
     if method not in ALL_METHODS:
         raise ExperimentError(f"unknown method {method!r}")
@@ -307,43 +302,53 @@ def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
     if len(train_raw) == 0:
         raise ExperimentError(f"no training data before {config.test_year}")
     params = fit_standardizer(train_raw)
-    train_ds = apply_standardizer(train_raw, params)
-    test_ds = apply_standardizer(test_raw, params)
+    train_values = apply_standardizer(train_raw, params).values
     d = len(ds.schema)
-    train_config = with_seed(config.train, train_seed)
-
-    grid = None
-    autoencoder = None
+    pipe = FittedPipeline(method=method, keep=keep, standardizer=params)
     if method == "mlp":
-        net_spec = build_mlp(d)
-        train_x = train_ds.values
-    elif method == "cnn1d":
-        net_spec = build_cnn1d(d)
-        train_x = train_ds.values[:, None, :]
-    elif method == "autoencoder_sa":
+        return pipe, train_values, train_raw, test_raw
+    if method == "cnn1d":
+        return pipe, train_values[:, None, :], train_raw, test_raw
+    if method == "autoencoder_sa":
         code_dim = autoencoder_code_dim(config, d)
-        autoencoder = train(build_autoencoder(d, code_dim), train_ds.values,
-                            train_ds.values, train_config)
-        codes = encode_codes(autoencoder, train_ds.values)
-        rows, cols = _code_grid_shape(code_dim)
-        grid = sequential_arrange(np.zeros(code_dim), rows, cols)
-        net_spec = build_cnn2d(rows, cols)
-        train_x = grid_tensor(codes, grid)
+        pipe.autoencoder = train(build_autoencoder(d, code_dim), train_values,
+                                 train_values, train_config)
+        train_values = encode_codes(pipe.autoencoder, train_values)
+        # The index map depends only on the code length, not on the values.
+        pipe.provenance = sequential_arrange(np.zeros(code_dim),
+                                             *_code_grid_shape(code_dim)).provenance
     else:
         base = "hva" if method == "reduced_hva" else method
         spec = default_spec(base, ds.schema, seed=arrangement_seed)
-        grid = arrange(np.zeros(d), ds.schema, spec)
-        net_spec = build_cnn2d(grid.rows, grid.cols)
-        train_x = grid_tensor(train_ds.values, grid)
+        # The index map depends only on the feature count, not on the values.
+        pipe.provenance = arrange(np.zeros(d), ds.schema, spec).provenance
+    return pipe, grid_tensor(train_values, pipe.provenance), train_raw, test_raw
 
-    network = train(net_spec, train_x, train_ds.labels, train_config)
-    pipe = FittedPipeline(
-        method=method, keep=keep, standardizer=params, network=network,
-        grid=grid, autoencoder=autoencoder,
-    )
-    pred = network.predict_classes(pipe.transform(test_raw))
+
+def classifier_spec(method: str, train_x: np.ndarray, **filters) -> NetworkSpec:
+    """The classifier architecture for a method's encoded inputs."""
+    if method == "mlp":
+        return build_mlp(train_x.shape[1])
+    if method == "cnn1d":
+        return build_cnn1d(train_x.shape[2], **filters)
+    return build_cnn2d(*train_x.shape[2:], **filters)
+
+
+def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
+                 train_seed: int, arrangement_seed: int = 0,
+                 ) -> tuple[FittedPipeline, RunRecord, int]:
+    """Split, standardize, encode, and train one model; also evaluates it.
+
+    Returns the fitted pipeline, the test-set record for this run, and
+    the run's arrangement seed (meaningful for randomized methods only).
+    """
+    train_config = with_seed(config.train, train_seed)
+    pipe, train_x, train_raw, test_raw = prepare_pipeline(
+        config, method, ds, train_config, arrangement_seed)
+    pipe.network = train(classifier_spec(method, train_x), train_x, train_raw.labels,
+                         train_config)
     record = _metrics_record(method, 0, arrangement_seed if method in RANDOMIZED else None,
-                             train_seed, test_raw.labels, pred)
+                             train_seed, test_raw.labels, pipe.predict_classes(test_raw))
     return pipe, record, arrangement_seed
 
 
@@ -354,45 +359,24 @@ def save_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
         "keep": pipe.keep,
         "mean": pipe.standardizer.mean,
         "stddev": pipe.standardizer.stddev,
-        "net_spec_json": np.array(pipe.network.spec.to_json()),
-        "net_seed": np.array(pipe.network.seed, dtype=np.int64),
+        **network_arrays(pipe.network, "net_"),
     }
-    for i, p in enumerate(pipe.network.parameters()):
-        payload[f"net_param_{i:04d}"] = p
-    if pipe.grid is not None:
-        payload["provenance"] = pipe.grid.provenance
+    if pipe.provenance is not None:
+        payload["provenance"] = pipe.provenance
     if pipe.autoencoder is not None:
-        payload["ae_spec_json"] = np.array(pipe.autoencoder.spec.to_json())
-        payload["ae_seed"] = np.array(pipe.autoencoder.seed, dtype=np.int64)
-        for i, p in enumerate(pipe.autoencoder.parameters()):
-            payload[f"ae_param_{i:04d}"] = p
+        payload.update(network_arrays(pipe.autoencoder, "ae_"))
     save_arrays(path, payload)
-
-
-def _load_net(data, prefix: str) -> Network:
-    spec = NetworkSpec.from_json(str(data[f"{prefix}_spec_json"]))
-    net = Network(spec, seed=int(data[f"{prefix}_seed"]))
-    for i, p in enumerate(net.parameters()):
-        p[...] = data[f"{prefix}_param_{i:04d}"]
-    return net
 
 
 def load_pipeline(path: str | Path) -> FittedPipeline:
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta_json"]))
-        network = _load_net(data, "net")
-        grid = None
-        if "provenance" in data:
-            prov = data["provenance"]
-            grid = ImageGrid(cells=np.zeros(prov.shape), provenance=prov)
-        autoencoder = _load_net(data, "ae") if "ae_spec_json" in data else None
         return FittedPipeline(
-            method=meta["method"],
+            method=json.loads(str(data["meta_json"]))["method"],
             keep=data["keep"],
             standardizer=StandardizationParams(mean=data["mean"], stddev=data["stddev"]),
-            network=network,
-            grid=grid,
-            autoencoder=autoencoder,
+            network=network_from_arrays(data, "net_"),
+            provenance=data["provenance"] if "provenance" in data else None,
+            autoencoder=network_from_arrays(data, "ae_") if "ae_spec_json" in data else None,
         )
 
 
@@ -609,31 +593,3 @@ def emit_report(report: ExperimentReport, out_dir: str | Path,
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
     return written
-
-
-def run_reduced_padding_study(config: ExperimentConfig, ds: Dataset | None = None) -> list[dict]:
-    """Reduced-feature HVA accuracy beside the original HVA accuracy."""
-    if ds is None:
-        ds = load_or_generate(config)
-    reduced_rec = run_method(config, "reduced_hva", ds)[0]
-    original_rec = run_method(config, "hva", ds)[0]
-    target = largest_square_target(len(ds.schema))
-    return [{
-        "feature_count": len(ds.schema),
-        "reduced_to": target,
-        "reduced_accuracy": reduced_rec.accuracy,
-        "original_accuracy": original_rec.accuracy,
-    }]
-
-
-def run_autoencoder_study(config: ExperimentConfig, ds: Dataset | None = None) -> list[dict]:
-    """Auto-encoder classification accuracy beside plain SA accuracy."""
-    if ds is None:
-        ds = load_or_generate(config)
-    ae_rec = run_method(config, "autoencoder_sa", ds)[0]
-    sa_rec = run_method(config, "sa", ds)[0]
-    return [{
-        "autoencoder_accuracy": ae_rec.accuracy,
-        "sa_accuracy": sa_rec.accuracy,
-        "code_dim": autoencoder_code_dim(config, len(ds.schema)),
-    }]

@@ -7,6 +7,7 @@ happens on small grids such as 8x16 after the second convolution.
 """
 from __future__ import annotations
 
+from ..schema import N_CLASSES
 from .network import (
     LayerSpec,
     NetworkSpec,
@@ -20,8 +21,6 @@ from .network import (
     maxpool,
     softmax_output,
 )
-
-N_CLASSES = 12
 
 
 class InputTooSmallError(ValueError):

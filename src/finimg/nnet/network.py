@@ -309,27 +309,39 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
             zf.writestr(info, buf.getvalue())
 
 
-def save_network(net: Network, path: str | Path) -> None:
-    """Checkpoint: spec JSON, seed, training history, parameter arrays."""
-    payload = {
-        "spec_json": np.array(net.spec.to_json()),
-        "seed": np.array(net.seed, dtype=np.int64),
-        "history": np.array(net.history, dtype=float),
+def network_arrays(net: Network, prefix: str = "") -> dict[str, np.ndarray]:
+    """The checkpoint codec: spec JSON, seed and parameters under prefix."""
+    arrays = {
+        f"{prefix}spec_json": np.array(net.spec.to_json()),
+        f"{prefix}seed": np.array(net.seed, dtype=np.int64),
     }
     for i, p in enumerate(net.parameters()):
-        payload[f"param_{i:04d}"] = p
+        arrays[f"{prefix}param_{i:04d}"] = p
+    return arrays
+
+
+def network_from_arrays(data, prefix: str = "") -> Network:
+    """Inverse of network_arrays; every stored parameter must match its shape."""
+    net = Network(NetworkSpec.from_json(str(data[f"{prefix}spec_json"])),
+                  seed=int(data[f"{prefix}seed"]))
+    for i, p in enumerate(net.parameters()):
+        name = f"{prefix}param_{i:04d}"
+        stored = data[name]
+        if stored.shape != p.shape:
+            raise SpecError(f"checkpoint parameter {name} shape {stored.shape} != {p.shape}")
+        p[...] = stored
+    return net
+
+
+def save_network(net: Network, path: str | Path) -> None:
+    """Checkpoint: spec JSON, seed, training history, parameter arrays."""
+    payload = network_arrays(net)
+    payload["history"] = np.array(net.history, dtype=float)
     save_arrays(path, payload)
 
 
 def load_network(path: str | Path) -> Network:
     with np.load(path, allow_pickle=False) as data:
-        spec = NetworkSpec.from_json(str(data["spec_json"]))
-        net = Network(spec, seed=int(data["seed"]))
+        net = network_from_arrays(data)
         net.history = [float(x) for x in data["history"]]
-        params = net.parameters()
-        for i, p in enumerate(params):
-            stored = data[f"param_{i:04d}"]
-            if stored.shape != p.shape:
-                raise SpecError(f"checkpoint parameter {i} shape {stored.shape} != {p.shape}")
-            p[...] = stored
     return net

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .schema import FeatureSchema, build_schema
-
-N_CLASSES = 12
+from .schema import N_CLASSES, FeatureSchema, build_schema
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,7 @@ def test_criterion_9_grid_search_structure():
     train_mask = ds.years < 2016
     probe = arrange(np.zeros(len(ds.schema)), ds.schema, default_spec("cca", ds.schema))
     values = np.where(np.isnan(ds.values), 0.0, ds.values)
-    images = grid_tensor(values, probe)
+    images = grid_tensor(values, probe.provenance)
     tx, ty = images[train_mask], ds.labels[train_mask]
     vx, vy = images[~train_mask], ds.labels[~train_mask]
 

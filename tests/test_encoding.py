@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finimg.data import Dataset, Observation
 from finimg.encoding import (
@@ -10,6 +12,7 @@ from finimg.encoding import (
     arrange,
     category_chunk_arrange,
     default_spec,
+    grid_tensor,
     hilbert_arrange,
     load_grid,
     randomize_arrangement,
@@ -21,6 +24,7 @@ from finimg.encoding import (
 from finimg.hilbert import HilbertOrder, hilbert_d2xy
 from finimg.schema import (
     FUNDAMENTAL_SECTIONS,
+    RATIO_CATEGORIES,
     build_schema,
     fundamental_schema,
     ratio_schema,
@@ -327,3 +331,29 @@ def test_provenance_completeness_random_cases():
             spec = default_spec(method, schema, seed=int(rng.integers(0, 2**32)))
             grid = arrange(v, schema, spec)
             check_provenance(grid, len(v))
+
+
+@st.composite
+def schemas(draw):
+    kind = draw(st.sampled_from(["fundamental", "ratio"]))
+    sections = FUNDAMENTAL_SECTIONS if kind == "fundamental" else RATIO_CATEGORIES
+    return build_schema(kind, {s: draw(st.integers(1, 12)) for s in sections})
+
+
+@settings(max_examples=60, deadline=None)
+@given(schema=schemas(),
+       method=st.sampled_from(["sa", "cca", "hva", "ra", "wcr", "bcr", "hvr"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_gather_matches_arranging_row_by_row(schema, method, seed, n):
+    d = len(schema)
+    spec = default_spec(method, schema, seed=seed)
+    values = np.random.default_rng(seed).normal(size=(n, d))
+    prov = arrange(values[0], schema, spec).provenance
+    # the map is a bijection from occupied cells onto the features
+    assert sorted(prov[prov != ZERO_PAD].tolist()) == list(range(d))
+    images = grid_tensor(values, prov)
+    assert images.shape == (n, 1) + prov.shape
+    for i in range(n):
+        grid = arrange(values[i], schema, spec)
+        assert np.array_equal(grid.provenance, prov)
+        assert np.array_equal(images[i, 0], grid.cells)

@@ -13,13 +13,11 @@ from finimg.experiment import (
     grid_tensor,
     largest_square_target,
     load_pipeline,
-    run_autoencoder_study,
     run_compare,
     run_method,
-    run_reduced_padding_study,
     save_pipeline,
 )
-from finimg.nnet import TrainConfig
+from finimg.nnet import SpecError, TrainConfig, save_arrays
 from finimg.schema import FUNDAMENTAL_SECTIONS
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
@@ -75,7 +73,7 @@ def test_grid_tensor_places_values_and_pads():
 
     grid = sequential_arrange(np.zeros(3), 2, 2)
     values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    images = grid_tensor(values, grid)
+    images = grid_tensor(values, grid.provenance)
     assert images.shape == (2, 1, 2, 2)
     assert images[0, 0].tolist() == [[1.0, 2.0], [3.0, 0.0]]
     assert images[1, 0].tolist() == [[4.0, 5.0], [6.0, 0.0]]
@@ -132,8 +130,8 @@ def test_every_method_runs(method, dataset):
 def test_reduced_pipeline_has_no_padding(dataset):
     config = small_config()
     pipe, record, _ = fit_pipeline(config, "reduced_hva", dataset, train_seed=0)
-    assert pipe.grid.provenance.shape == (8, 8)
-    assert (pipe.grid.provenance != ZERO_PAD).all()
+    assert pipe.provenance.shape == (8, 8)
+    assert (pipe.provenance != ZERO_PAD).all()
     assert pipe.keep.shape == (64,)
 
 
@@ -250,16 +248,34 @@ def test_emit_report_empty_rows_rejected():
 
 
 def test_reduced_padding_study_rows(dataset):
-    config = small_config()
-    rows = run_reduced_padding_study(config, dataset)
-    assert rows[0]["feature_count"] == 66
-    assert rows[0]["reduced_to"] == 64
-    assert 0.0 <= rows[0]["reduced_accuracy"] <= 1.0
-    assert 0.0 <= rows[0]["original_accuracy"] <= 1.0
+    config = small_config(methods=("hva", "reduced_hva"))
+    report = run_compare(config, dataset)
+    acc = {m: recs[0].accuracy for m, recs in report.records.items()}
+    assert report.reduced_rows == [{"reduced_accuracy": acc["reduced_hva"],
+                                    "original_accuracy": acc["hva"]}]
+    assert 0.0 <= acc["reduced_hva"] <= 1.0
+    assert 0.0 <= acc["hva"] <= 1.0
+    assert report.autoencoder_rows == []
 
 
 def test_autoencoder_study_rows(dataset):
-    config = small_config()
-    rows = run_autoencoder_study(config, dataset)
-    assert set(rows[0]) == {"autoencoder_accuracy", "sa_accuracy", "code_dim"}
-    assert rows[0]["code_dim"] == 33
+    config = small_config(methods=("sa", "autoencoder_sa"))
+    report = run_compare(config, dataset)
+    acc = {m: recs[0].accuracy for m, recs in report.records.items()}
+    assert report.autoencoder_rows == [{"autoencoder_accuracy": acc["autoencoder_sa"],
+                                        "sa_accuracy": acc["sa"]}]
+    assert autoencoder_code_dim(config, 66) == 33
+    assert report.reduced_rows == []
+
+
+def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
+    pipe, _, _ = fit_pipeline(small_config(), "cca", dataset, train_seed=0)
+    path = tmp_path / "cca.npz"
+    save_pipeline(pipe, path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert arrays["net_param_0001"].shape == (64,)
+    arrays["net_param_0001"] = np.array([0.5])
+    save_arrays(path, arrays)
+    with pytest.raises(SpecError, match="net_param_0001"):
+        load_pipeline(path)
