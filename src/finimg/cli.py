@@ -84,10 +84,9 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def _experiment_config(args, extra: dict | None = None) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     """Merge config file values with CLI flags (flags win)."""
     raw = _load_config_file(getattr(args, "config", None))
-    raw.update(extra or {})
 
     def pick(flag, key, default):
         value = getattr(args, flag, None)
@@ -264,7 +263,7 @@ def _cmd_grid_search(args) -> int:
             config, args.model, ds, config.train, arrangement_seed=config.arrangement_seed)
 
         def builder(n1, n2):
-            return classifier_spec(args.model, tx, filters1=n1, filters2=n2)
+            return classifier_spec(args.model, tx.shape[1:], filters1=n1, filters2=n2)
 
         best, rows = grid_search(builder, grid, (tx, train_raw.labels),
                                  (pipe.transform(test_raw), test_raw.labels), config.train)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -61,6 +62,7 @@ from .nnet import (
     train,
     with_seed,
 )
+from .schema import FeatureSchema
 from .stats import ZeroVarianceError, one_sample_t_greater, pairwise_t_bonferroni, summarize
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -318,20 +320,49 @@ def prepare_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
         pipe.provenance = sequential_arrange(np.zeros(code_dim),
                                              *_code_grid_shape(code_dim)).provenance
     else:
-        base = "hva" if method == "reduced_hva" else method
-        spec = default_spec(base, ds.schema, seed=arrangement_seed)
-        # The index map depends only on the feature count, not on the values.
-        pipe.provenance = arrange(np.zeros(d), ds.schema, spec).provenance
+        pipe.provenance = _index_map(method, ds.schema, arrangement_seed)
     return pipe, grid_tensor(train_values, pipe.provenance), train_raw, test_raw
 
 
-def classifier_spec(method: str, train_x: np.ndarray, **filters) -> NetworkSpec:
-    """The classifier architecture for a method's encoded inputs."""
+def _index_map(method: str, schema: FeatureSchema, seed: int) -> np.ndarray:
+    base = "hva" if method == "reduced_hva" else method
+    spec = default_spec(base, schema, seed=seed)
+    # The index map depends only on the feature count, not on the values.
+    return arrange(np.zeros(len(schema)), schema, spec).provenance
+
+
+def classifier_spec(method: str, input_shape: tuple[int, ...], **filters) -> NetworkSpec:
+    """The classifier architecture for a method's encoded input shape (no batch axis)."""
     if method == "mlp":
-        return build_mlp(train_x.shape[1])
+        return build_mlp(input_shape[0])
     if method == "cnn1d":
-        return build_cnn1d(train_x.shape[2], **filters)
-    return build_cnn2d(*train_x.shape[2:], **filters)
+        return build_cnn1d(input_shape[1], **filters)
+    return build_cnn2d(*input_shape[1:], **filters)
+
+
+def check_input_shapes(config: ExperimentConfig, ds: Dataset) -> None:
+    """Build each configured method's networks from its input shape alone.
+
+    Raises the builders' errors (such as InputTooSmallError) before any
+    model is trained, so a method that cannot run costs no earlier fits.
+    """
+    d = len(ds.schema)
+    for method in config.methods:
+        if method == "mlp":
+            shape = (d,)
+        elif method == "cnn1d":
+            shape = (1, d)
+        elif method == "reduced_hva":
+            # The minimal Hilbert curve over 4**n features is a 2**n square.
+            side = math.isqrt(largest_square_target(d))
+            shape = (1, side, side)
+        elif method == "autoencoder_sa":
+            code_dim = autoencoder_code_dim(config, d)
+            build_autoencoder(d, code_dim)
+            shape = (1, *_code_grid_shape(code_dim))
+        else:
+            shape = (1, *_index_map(method, ds.schema, config.arrangement_seed).shape)
+        classifier_spec(method, shape)
 
 
 def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
@@ -345,7 +376,7 @@ def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
     train_config = with_seed(config.train, train_seed)
     pipe, train_x, train_raw, test_raw = prepare_pipeline(
         config, method, ds, train_config, arrangement_seed)
-    pipe.network = train(classifier_spec(method, train_x), train_x, train_raw.labels,
+    pipe.network = train(classifier_spec(method, train_x.shape[1:]), train_x, train_raw.labels,
                          train_config)
     record = _metrics_record(method, 0, arrangement_seed if method in RANDOMIZED else None,
                              train_seed, test_raw.labels, pipe.predict_classes(test_raw))
@@ -426,6 +457,7 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
     started = time.time()
     if ds is None:
         ds = load_or_generate(config)
+    check_input_shapes(config, ds)
     records: dict[str, list[RunRecord]] = {}
     for method in config.methods:
         records[method] = run_method(config, method, ds)

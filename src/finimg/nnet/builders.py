@@ -42,19 +42,29 @@ def build_mlp(input_dim: int, hidden: int = 128, dropout_rate: float = 0.3,
     )
 
 
-def _conv_stack_1d(length: int, filters1: int, filters2: int, kernel: int) -> list[LayerSpec]:
+def _build_cnn(spatial: tuple[int, ...], filters: tuple[int, int], kernel: int,
+               dense_units: int, classes: int) -> NetworkSpec:
+    """Conv stack over one (conv1d) or two (conv2d) spatial axes, then dense head."""
     layers: list[LayerSpec] = []
-    for filters in (filters1, filters2):
-        if length < kernel:
+    sizes = spatial
+    for f in filters:
+        if min(sizes) < kernel:
             raise InputTooSmallError(
-                f"input of length {length} too short for kernel {kernel}"
+                f"feature map {'x'.join(map(str, sizes))} too small for kernel {kernel}"
             )
-        layers += [conv1d(filters, kernel), activation()]
-        length = length - kernel + 1
-        if length // 2 >= 1:
+        conv = conv1d(f, kernel) if len(sizes) == 1 else conv2d(f, kernel, kernel)
+        layers += [conv, activation()]
+        sizes = tuple(n - kernel + 1 for n in sizes)
+        if min(sizes) // 2 >= 1:
             layers.append(maxpool(2))
-            length //= 2
-    return layers
+            sizes = tuple(n // 2 for n in sizes)
+    layers += [
+        flatten(),
+        dense(dense_units), activation(),
+        dense(dense_units), activation(),
+        softmax_output(classes),
+    ]
+    return NetworkSpec(input_shape=(1, *spatial), layers=tuple(layers))
 
 
 def build_cnn1d(input_len: int, filters1: int = 64, filters2: int = 32,
@@ -63,14 +73,7 @@ def build_cnn1d(input_len: int, filters1: int = 64, filters2: int = 32,
     """Two 1D convolutions over the raw feature vector, then dense head."""
     if input_len < 7:
         raise InputTooSmallError(f"need at least 7 inputs, got {input_len}")
-    layers = _conv_stack_1d(input_len, filters1, filters2, kernel)
-    layers += [
-        flatten(),
-        dense(dense_units), activation(),
-        dense(dense_units), activation(),
-        softmax_output(classes),
-    ]
-    return NetworkSpec(input_shape=(1, input_len), layers=tuple(layers))
+    return _build_cnn((input_len,), (filters1, filters2), kernel, dense_units, classes)
 
 
 def build_cnn2d(rows: int, cols: int, filters1: int = 64, filters2: int = 32,
@@ -79,25 +82,7 @@ def build_cnn2d(rows: int, cols: int, filters1: int = 64, filters2: int = 32,
     """Two 2D convolutions over an image grid, then dense head."""
     if rows < 7 or cols < 7:
         raise InputTooSmallError(f"need at least a 7x7 grid, got {rows}x{cols}")
-    layers: list[LayerSpec] = []
-    h, w = rows, cols
-    for filters in (filters1, filters2):
-        if h < kernel or w < kernel:
-            raise InputTooSmallError(
-                f"feature map {h}x{w} too small for a {kernel}x{kernel} kernel"
-            )
-        layers += [conv2d(filters, kernel, kernel), activation()]
-        h, w = h - kernel + 1, w - kernel + 1
-        if h // 2 >= 1 and w // 2 >= 1:
-            layers.append(maxpool(2))
-            h, w = h // 2, w // 2
-    layers += [
-        flatten(),
-        dense(dense_units), activation(),
-        dense(dense_units), activation(),
-        softmax_output(classes),
-    ]
-    return NetworkSpec(input_shape=(1, rows, cols), layers=tuple(layers))
+    return _build_cnn((rows, cols), (filters1, filters2), kernel, dense_units, classes)
 
 
 def build_autoencoder(input_dim: int, code_dim: int, hidden: int = 128) -> NetworkSpec:

@@ -1,9 +1,12 @@
 """Numpy layers with exact forward/backward passes.
 
-Shape conventions (batch first): dense layers take (N, D); 1D convolution
-takes (N, C, L); 2D convolution takes (N, C, H, W). Convolutions are
-stride-1 cross-correlations, "valid" by default with an optional "same"
-zero-padding mode. Pooling windows do not overlap and floor-truncate.
+Shape conventions (batch first): dense layers take (N, D); 2D convolution
+and pooling take (N, C, H, W). The 1D layers take (N, C, L) and are the
+one-row case: they run the 2D kernels on an (N, C, 1, L) view, with a
+(filters, channels, kernel) weight standing for (filters, channels, 1,
+kernel). Convolutions are stride-1 cross-correlations, "valid" by default
+with an optional "same" zero-padding mode. Pooling windows do not overlap
+and floor-truncate.
 """
 from __future__ import annotations
 
@@ -122,70 +125,20 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return (kernel - 1) // 2, kernel - 1 - (kernel - 1) // 2
 
 
-class Conv1D(Layer):
-    name = "conv1d"
+class _Conv(Layer):
+    """One stride-1 im2col cross-correlation over (N, C, H, W) inputs.
+
+    Conv1D runs it on (N, C, 1, L) views; the column order (c, 1, k)
+    equals (c, k), so both layers hand the same operands to the GEMMs.
+    """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, padding: str = "valid"):
-        self.weight = weight  # (filters, channels, kernel)
+        self.weight = weight
         self.bias = bias
         self.padding = padding
 
-    def forward(self, x, train, rng=None):
-        f, c, k = self.weight.shape
-        _check(x.ndim == 3 and x.shape[1] == c, self.name,
-               f"expected (N, {c}, L), got {x.shape}")
-        if self.padding == "same":
-            lo, hi = _pad_amounts(k)
-            x = np.pad(x, ((0, 0), (0, 0), (lo, hi)))
-        _check(x.shape[2] >= k, self.name,
-               f"input length {x.shape[2]} shorter than kernel {k}")
-        n, _, length = x.shape
-        out_len = length - k + 1
-        s0, s1, s2 = x.strides
-        win = np.lib.stride_tricks.as_strided(x, (n, c, out_len, k), (s0, s1, s2, s2))
-        self._cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(n * out_len, c * k)
-        out = self._cols @ self.weight.reshape(f, c * k).T + self.bias
-        self._in_len = length
-        return out.reshape(n, out_len, f).transpose(0, 2, 1)
-
-    def backward(self, grad):
-        f, c, k = self.weight.shape
-        n, _, out_len = grad.shape
-        gmat = np.ascontiguousarray(grad.transpose(0, 2, 1)).reshape(n * out_len, f)
-        self._dw = (gmat.T @ self._cols).reshape(f, c, k)
-        self._db = gmat.sum(axis=0)
-        if not self.needs_input_grad:
-            return None
-        gp = np.pad(grad, ((0, 0), (0, 0), (k - 1, k - 1)))
-        s0, s1, s2 = gp.strides
-        win = np.lib.stride_tricks.as_strided(gp, (n, f, self._in_len, k), (s0, s1, s2, s2))
-        cols_g = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(n * self._in_len, f * k)
-        rot = self.weight[:, :, ::-1].transpose(0, 2, 1).reshape(f * k, c)
-        dx = (cols_g @ rot).reshape(n, self._in_len, c).transpose(0, 2, 1)
-        if self.padding == "same":
-            lo, hi = _pad_amounts(k)
-            dx = dx[:, :, lo : self._in_len - hi]
-        return dx
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self._dw, self._db]
-
-
-class Conv2D(Layer):
-    name = "conv2d"
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, padding: str = "valid"):
-        self.weight = weight  # (filters, channels, kh, kw)
-        self.bias = bias
-        self.padding = padding
-
-    def forward(self, x, train, rng=None):
-        f, c, kh, kw = self.weight.shape
-        _check(x.ndim == 4 and x.shape[1] == c, self.name,
-               f"expected (N, {c}, H, W), got {x.shape}")
+    def _correlate(self, x, weight):
+        f, c, kh, kw = weight.shape
         if self.padding == "same":
             rlo, rhi = _pad_amounts(kh)
             clo, chi = _pad_amounts(kw)
@@ -201,16 +154,16 @@ class Conv2D(Layer):
         self._cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
             n * oh * ow, c * kh * kw
         )
-        out = self._cols @ self.weight.reshape(f, -1).T + self.bias
+        out = self._cols @ weight.reshape(f, -1).T + self.bias
         self._in_hw = (h, w)
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
-    def backward(self, grad):
-        f, c, kh, kw = self.weight.shape
+    def _correlate_backward(self, grad, weight):
+        f, c, kh, kw = weight.shape
         n, _, oh, ow = grad.shape
         h, w = self._in_hw
         gmat = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(n * oh * ow, f)
-        self._dw = (gmat.T @ self._cols).reshape(f, c, kh, kw)
+        self._dw = (gmat.T @ self._cols).reshape(self.weight.shape)
         self._db = gmat.sum(axis=0)
         if not self.needs_input_grad:
             return None
@@ -222,7 +175,7 @@ class Conv2D(Layer):
         cols_g = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
             n * h * w, f * kh * kw
         )
-        rot = self.weight[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(f * kh * kw, c)
+        rot = weight[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(f * kh * kw, c)
         dx = (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
         if self.padding == "same":
             rlo, rhi = _pad_amounts(kh)
@@ -237,66 +190,91 @@ class Conv2D(Layer):
         return [self._dw, self._db]
 
 
-class MaxPool1D(Layer):
-    name = "maxpool1d"
+class Conv1D(_Conv):
+    name = "conv1d"  # weight (filters, channels, kernel)
+
+    def forward(self, x, train, rng=None):
+        c = self.weight.shape[1]
+        _check(x.ndim == 3 and x.shape[1] == c, self.name,
+               f"expected (N, {c}, L), got {x.shape}")
+        return self._correlate(x[:, :, None, :], self.weight[:, :, None, :])[:, :, 0, :]
+
+    def backward(self, grad):
+        dx = self._correlate_backward(grad[:, :, None, :], self.weight[:, :, None, :])
+        return None if dx is None else dx[:, :, 0, :]
+
+
+class Conv2D(_Conv):
+    name = "conv2d"  # weight (filters, channels, kh, kw)
+
+    def forward(self, x, train, rng=None):
+        c = self.weight.shape[1]
+        _check(x.ndim == 4 and x.shape[1] == c, self.name,
+               f"expected (N, {c}, H, W), got {x.shape}")
+        return self._correlate(x, self.weight)
+
+    def backward(self, grad):
+        return self._correlate_backward(grad, self.weight)
+
+
+class _MaxPool(Layer):
+    """One non-overlapping max pool over (N, C, H, W) with a (wh, ww) window.
+
+    The gradient goes to the first maximum of each window. MaxPool1D is
+    the (1, window) case on (N, C, 1, L) views.
+    """
 
     def __init__(self, window: int):
         self.window = window
+
+    def _pool(self, x, wh, ww):
+        n, c, h, w = x.shape
+        oh, ow = h // wh, w // ww
+        _check(oh > 0 and ow > 0, self.name,
+               f"window {wh}x{ww} larger than input {h}x{w}")
+        xr = (
+            x[:, :, : oh * wh, : ow * ww]
+            .reshape(n, c, oh, wh, ow, ww)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, oh, ow, wh * ww)
+        )
+        self._idx = xr.argmax(axis=-1)
+        self._in_hw = (h, w)
+        return np.take_along_axis(xr, self._idx[..., None], axis=-1)[..., 0]
+
+    def _pool_backward(self, grad, wh, ww):
+        n, c, oh, ow = grad.shape
+        h, w = self._in_hw
+        dxr = np.zeros((n, c, oh, ow, wh * ww))
+        np.put_along_axis(dxr, self._idx[..., None], grad[..., None], axis=-1)
+        dx = np.zeros((n, c, h, w))
+        dx[:, :, : oh * wh, : ow * ww] = (
+            dxr.reshape(n, c, oh, ow, wh, ww).transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, oh * wh, ow * ww)
+        )
+        return dx
+
+
+class MaxPool1D(_MaxPool):
+    name = "maxpool1d"
 
     def forward(self, x, train, rng=None):
         _check(x.ndim == 3, self.name, f"expected (N, C, L), got {x.shape}")
-        w = self.window
-        n, c, length = x.shape
-        out_len = length // w
-        _check(out_len > 0, self.name, f"window {w} larger than input {length}")
-        xr = x[:, :, : out_len * w].reshape(n, c, out_len, w)
-        self._idx = xr.argmax(axis=-1)
-        self._in_len = length
-        return np.take_along_axis(xr, self._idx[..., None], axis=-1)[..., 0]
+        return self._pool(x[:, :, None, :], 1, self.window)[:, :, 0, :]
 
     def backward(self, grad):
-        n, c, out_len = grad.shape
-        w = self.window
-        dxr = np.zeros((n, c, out_len, w))
-        np.put_along_axis(dxr, self._idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros((n, c, self._in_len))
-        dx[:, :, : out_len * w] = dxr.reshape(n, c, out_len * w)
-        return dx
+        return self._pool_backward(grad[:, :, None, :], 1, self.window)[:, :, 0, :]
 
 
-class MaxPool2D(Layer):
+class MaxPool2D(_MaxPool):
     name = "maxpool2d"
-
-    def __init__(self, window: int):
-        self.window = window
 
     def forward(self, x, train, rng=None):
         _check(x.ndim == 4, self.name, f"expected (N, C, H, W), got {x.shape}")
-        w = self.window
-        n, c, h, width = x.shape
-        oh, ow = h // w, width // w
-        _check(oh > 0 and ow > 0, self.name, f"window {w} larger than input {h}x{width}")
-        xr = (
-            x[:, :, : oh * w, : ow * w]
-            .reshape(n, c, oh, w, ow, w)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh, ow, w * w)
-        )
-        self._idx = xr.argmax(axis=-1)
-        self._in_hw = (h, width)
-        return np.take_along_axis(xr, self._idx[..., None], axis=-1)[..., 0]
+        return self._pool(x, self.window, self.window)
 
     def backward(self, grad):
-        n, c, oh, ow = grad.shape
-        w = self.window
-        h, width = self._in_hw
-        dxr = np.zeros((n, c, oh, ow, w * w))
-        np.put_along_axis(dxr, self._idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros((n, c, h, width))
-        dx[:, :, : oh * w, : ow * w] = (
-            dxr.reshape(n, c, oh, ow, w, w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * w, ow * w)
-        )
-        return dx
+        return self._pool_backward(grad, self.window, self.window)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

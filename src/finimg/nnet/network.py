@@ -146,6 +146,18 @@ def _conv_len(length: int, kernel: int, padding: str) -> int:
     return out
 
 
+# (weight shape, bias shape) of each parameterized kind on an input shape.
+_PARAM_SHAPES = {
+    "dense": lambda shape, a: ((shape[0], a["units"]), (a["units"],)),
+    "softmax_output": lambda shape, a: ((shape[0], a["classes"]), (a["classes"],)),
+    "conv1d": lambda shape, a: ((a["filters"], shape[0], a["kernel"]), (a["filters"],)),
+    "conv2d": lambda shape, a: (
+        (a["filters"], shape[0], a["kernel_h"], a["kernel_w"]), (a["filters"],)),
+}
+_PARAM_LAYERS = {"dense": Dense, "softmax_output": SoftmaxOutput, "conv1d": Conv1D,
+                 "conv2d": Conv2D}
+
+
 def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[int, ...]:
     kind, args = layer.kind, layer.args
     try:
@@ -155,29 +167,22 @@ def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[in
         if kind == "softmax_output":
             (d,) = shape
             return (args["classes"],)
-        if kind == "conv1d":
-            c, length = shape
-            return (args["filters"], _conv_len(length, args["kernel"], args["padding"]))
-        if kind == "conv2d":
-            c, h, w = shape
-            return (
-                args["filters"],
-                _conv_len(h, args["kernel_h"], args["padding"]),
-                _conv_len(w, args["kernel_w"], args["padding"]),
-            )
+        if kind in ("conv1d", "conv2d"):
+            c, *spatial = shape
+            kernel = _PARAM_SHAPES[kind](shape, args)[0][2:]  # (filters, c, *kernel)
+            if len(spatial) != len(kernel):
+                raise ValueError(f"{kind} needs {len(kernel)} spatial axes")
+            return (args["filters"], *(_conv_len(n, k, args["padding"])
+                                       for n, k in zip(spatial, kernel)))
         if kind == "maxpool":
+            c, *spatial = shape
+            if len(spatial) not in (1, 2):
+                raise ValueError("maxpool needs 1 or 2 spatial axes")
             w = args["window"]
-            if len(shape) == 2:
-                c, length = shape
-                out = length // w
-                if out < 1:
-                    raise SpecError(f"pool window {w} empties length {length}")
-                return (c, out)
-            c, h, wid = shape
-            oh, ow = h // w, wid // w
-            if oh < 1 or ow < 1:
-                raise SpecError(f"pool window {w} empties {h}x{wid}")
-            return (c, oh, ow)
+            out = tuple(n // w for n in spatial)
+            if min(out) < 1:
+                raise SpecError(f"pool window {w} empties {'x'.join(map(str, spatial))}")
+            return (c, *out)
         if kind == "flatten":
             return (int(np.prod(shape)),)
         if kind in ("dropout", "activation"):
@@ -188,16 +193,9 @@ def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[in
 
 
 def _param_count(shape: tuple[int, ...], layer: LayerSpec) -> int:
-    kind, args = layer.kind, layer.args
-    if kind == "dense":
-        return shape[0] * args["units"] + args["units"]
-    if kind == "softmax_output":
-        return shape[0] * args["classes"] + args["classes"]
-    if kind == "conv1d":
-        return args["filters"] * shape[0] * args["kernel"] + args["filters"]
-    if kind == "conv2d":
-        return args["filters"] * shape[0] * args["kernel_h"] * args["kernel_w"] + args["filters"]
-    return 0
+    if layer.kind not in _PARAM_SHAPES:
+        return 0
+    return sum(math.prod(s) for s in _PARAM_SHAPES[layer.kind](shape, layer.args))
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -207,22 +205,12 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> n
 
 def _materialize(shape: tuple[int, ...], layer: LayerSpec, rng: np.random.Generator) -> Layer:
     kind, args = layer.kind, layer.args
-    if kind == "dense":
-        w = _uniform(rng, shape[0], (shape[0], args["units"]))
-        return Dense(w, np.zeros(args["units"]))
-    if kind == "softmax_output":
-        w = _uniform(rng, shape[0], (shape[0], args["classes"]))
-        return SoftmaxOutput(w, np.zeros(args["classes"]))
-    if kind == "conv1d":
-        c = shape[0]
-        fan_in = c * args["kernel"]
-        w = _uniform(rng, fan_in, (args["filters"], c, args["kernel"]))
-        return Conv1D(w, np.zeros(args["filters"]), args["padding"])
-    if kind == "conv2d":
-        c = shape[0]
-        fan_in = c * args["kernel_h"] * args["kernel_w"]
-        w = _uniform(rng, fan_in, (args["filters"], c, args["kernel_h"], args["kernel_w"]))
-        return Conv2D(w, np.zeros(args["filters"]), args["padding"])
+    if kind in _PARAM_SHAPES:
+        w_shape, b_shape = _PARAM_SHAPES[kind](shape, args)
+        # Every weight element feeds one output unit: fan-in is size / units.
+        w = _uniform(rng, math.prod(w_shape) // b_shape[0], w_shape)
+        padding = (args["padding"],) if "padding" in args else ()
+        return _PARAM_LAYERS[kind](w, np.zeros(b_shape), *padding)
     if kind == "maxpool":
         return MaxPool1D(args["window"]) if len(shape) == 2 else MaxPool2D(args["window"])
     if kind == "dropout":
@@ -269,28 +257,28 @@ class Network:
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x).argmax(axis=1)
 
+    def _loss(self, out: np.ndarray, target: np.ndarray) -> float:
+        if self.spec.loss == "cross_entropy":
+            return loss_crossentropy(out, target)
+        return float(((out - target) ** 2).mean())
+
     def loss_and_grad(self, x: np.ndarray, target: np.ndarray, train: bool = True,
                       rng: np.random.Generator | None = None) -> float:
         """Forward plus backward; leaves gradients on the layers."""
         out = self.forward(x, train=train, rng=rng)
+        loss = self._loss(out, target)
         if self.spec.loss == "cross_entropy":
-            loss = loss_crossentropy(out, target)
             grad = self.layers[-1].backward_from_labels(np.asarray(target, dtype=int))
             rest = self.layers[:-1]
         else:
-            diff = out - target
-            loss = float((diff**2).mean())
-            grad = 2.0 * diff / diff.size
+            grad = 2.0 * (out - target) / out.size
             rest = self.layers
         for layer in reversed(rest):
             grad = layer.backward(grad)
         return loss
 
     def loss_only(self, x: np.ndarray, target: np.ndarray) -> float:
-        out = self.forward(x, train=False)
-        if self.spec.loss == "cross_entropy":
-            return loss_crossentropy(out, target)
-        return float(((out - target) ** 2).mean())
+        return self._loss(self.forward(x, train=False), target)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]

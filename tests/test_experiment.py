@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finimg import experiment
 from finimg.data import Dataset
 from finimg.encoding import ZERO_PAD
 from finimg.experiment import (
@@ -17,7 +18,7 @@ from finimg.experiment import (
     run_method,
     save_pipeline,
 )
-from finimg.nnet import SpecError, TrainConfig, save_arrays
+from finimg.nnet import InputTooSmallError, SpecError, TrainConfig, save_arrays
 from finimg.schema import FUNDAMENTAL_SECTIONS
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
@@ -279,3 +280,16 @@ def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
     save_arrays(path, arrays)
     with pytest.raises(SpecError, match="net_param_0001"):
         load_pipeline(path)
+
+
+def test_run_compare_checks_every_input_shape_before_training(monkeypatch):
+    # 54 features: sa and hva fit, but reduced_hva keeps 16, a 4x4 grid.
+    ds = generate_synthetic(small_spec(section_counts={s: 9 for s in FUNDAMENTAL_SECTIONS}))
+    calls = []
+    real_train = experiment.train
+    monkeypatch.setattr(experiment, "train",
+                        lambda *a, **kw: calls.append(1) or real_train(*a, **kw))
+    config = small_config(methods=("sa", "hva", "reduced_hva"))
+    with pytest.raises(InputTooSmallError, match="4x4"):
+        run_compare(config, ds)
+    assert calls == []

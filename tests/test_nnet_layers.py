@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finimg.nnet import NetworkSpec, Network, gradient_check, loss_crossentropy, softmax
 from finimg.nnet.layers import (
@@ -7,6 +9,7 @@ from finimg.nnet.layers import (
     Conv2D,
     Dropout,
     MaxPool1D,
+    MaxPool2D,
     ShapeMismatchError,
 )
 from finimg.nnet.network import (
@@ -153,3 +156,106 @@ def test_gradient_check_linear_net_bias_exact():
     y = np.array([1])
     err = gradient_check(spec, x, y, epsilon=1e-5, max_checks_per_param=None, seed=0)
     assert err < 1e-7
+
+
+# Direct loop references for the property tests below. They work on
+# (N, C, H, W); the 1D layers are checked on one-row inputs.
+
+
+def reference_conv(x, w, b, padding, g):
+    """Output and the gradients of sum(output * g) by explicit windows."""
+    f, c, kh, kw = w.shape
+    if padding == "same":
+        lo_h, lo_w = (kh - 1) // 2, (kw - 1) // 2
+        x = np.pad(x, ((0, 0), (0, 0), (lo_h, kh - 1 - lo_h), (lo_w, kw - 1 - lo_w)))
+    n, _, h, wid = x.shape
+    oh, ow = h - kh + 1, wid - kw + 1
+    out = np.zeros((n, f, oh, ow))
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for i in range(oh):
+        for j in range(ow):
+            patch = x[:, :, i : i + kh, j : j + kw]
+            for fi in range(f):
+                out[:, fi, i, j] = (patch * w[fi]).sum(axis=(1, 2, 3)) + b[fi]
+                dw[fi] += (g[:, fi, i, j][:, None, None, None] * patch).sum(axis=0)
+                dx[:, :, i : i + kh, j : j + kw] += g[:, fi, i, j][:, None, None, None] * w[fi]
+    if padding == "same":
+        dx = dx[:, :, lo_h : lo_h + h - kh + 1, lo_w : lo_w + wid - kw + 1]
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+
+def reference_maxpool(x, wh, ww, g):
+    """Pooled output, and g routed to the first maximum of each window."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // wh, w // ww))
+    dx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(h // wh):
+                for j in range(w // ww):
+                    cells = [(i * wh + a, j * ww + bb) for a in range(wh) for bb in range(ww)]
+                    best = cells[0]
+                    for cell in cells[1:]:
+                        if x[ni, ci][cell] > x[ni, ci][best]:
+                            best = cell
+                    out[ni, ci, i, j] = x[ni, ci][best]
+                    dx[ni, ci][best] = g[ni, ci, i, j]
+    return out, dx
+
+
+CONV_RTOL, CONV_ATOL = 1e-10, 1e-12  # float64; summation order differs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), one_d=st.booleans(), padding=st.sampled_from(["valid", "same"]))
+def test_conv_matches_loop_reference(data, one_d, padding):
+    n, c, f = (data.draw(st.integers(1, 3)) for _ in range(3))
+    h = 1 if one_d else data.draw(st.integers(1, 6))
+    w = data.draw(st.integers(1, 7))
+    kh = 1 if one_d else data.draw(st.integers(1, h if padding == "valid" else 4))
+    kw = data.draw(st.integers(1, w if padding == "valid" else 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, c, h, w))
+    weight = rng.normal(size=(f, c, kh, kw))
+    bias = rng.normal(size=f)
+    g = rng.normal(size=(n, f, h, w) if padding == "same" else (n, f, h - kh + 1, w - kw + 1))
+    out_ref, dx_ref, dw_ref, db_ref = reference_conv(x, weight, bias, padding, g)
+    if one_d:
+        layer = Conv1D(weight[:, :, 0, :].copy(), bias, padding)
+        out = layer.forward(x[:, :, 0, :], train=False)[:, :, None, :]
+        dx = layer.backward(g[:, :, 0, :])[:, :, None, :]
+        dw = layer._dw[:, :, None, :]
+        assert layer._dw.shape == (f, c, kw)
+    else:
+        layer = Conv2D(weight, bias, padding)
+        out = layer.forward(x, train=False)
+        dx = layer.backward(g)
+        dw = layer._dw
+    for got, want in ((out, out_ref), (dx, dx_ref), (dw, dw_ref), (layer._db, db_ref)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=CONV_RTOL, atol=CONV_ATOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), one_d=st.booleans())
+def test_maxpool_matches_loop_reference_with_ties(data, one_d):
+    n, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    window = data.draw(st.integers(1, 3))
+    h = 1 if one_d else data.draw(st.integers(window, 7))
+    w = data.draw(st.integers(window, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 3, size=(n, c, h, w)).astype(float)  # few values: windows tie
+    wh = 1 if one_d else window
+    g = rng.normal(size=(n, c, h // wh, w // window))
+    out_ref, dx_ref = reference_maxpool(x, wh, window, g)
+    if one_d:
+        layer = MaxPool1D(window)
+        out = layer.forward(x[:, :, 0, :], train=False)[:, :, None, :]
+        dx = layer.backward(g[:, :, 0, :])[:, :, None, :]
+    else:
+        layer = MaxPool2D(window)
+        out = layer.forward(x, train=False)
+        dx = layer.backward(g)
+    assert np.array_equal(out, out_ref)
+    assert np.array_equal(dx, dx_ref)

@@ -17,6 +17,8 @@ from finimg.nnet import (
     grid_search,
     load_network,
     make_optimizer,
+    network_arrays,
+    network_from_arrays,
     save_network,
     train,
 )
@@ -219,6 +221,58 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert back.history == net.history
     for a, b in zip(net.parameters(), back.parameters()):
         assert a.tobytes() == b.tobytes()
+    assert np.array_equal(back.predict(x), net.predict(x))
+
+
+CNN1D_12_JSON = (
+    '{"input_shape": [1, 12], "layers": ['
+    '{"args": {"filters": 64, "kernel": 3, "padding": "valid"}, "kind": "conv1d"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {"window": 2}, "kind": "maxpool"}, '
+    '{"args": {"filters": 32, "kernel": 3, "padding": "valid"}, "kind": "conv1d"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {"window": 2}, "kind": "maxpool"}, '
+    '{"args": {}, "kind": "flatten"}, '
+    '{"args": {"units": 128}, "kind": "dense"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {"units": 128}, "kind": "dense"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {"classes": 12}, "kind": "softmax_output"}], "loss": "cross_entropy"}'
+)
+CNN2D_8_16_JSON = (
+    '{"input_shape": [1, 8, 16], "layers": ['
+    '{"args": {"filters": 64, "kernel_h": 3, "kernel_w": 3, "padding": "valid"}, "kind": "conv2d"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {"window": 2}, "kind": "maxpool"}, '
+    '{"args": {"filters": 32, "kernel_h": 3, "kernel_w": 3, "padding": "valid"}, "kind": "conv2d"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {}, "kind": "flatten"}, '
+    '{"args": {"units": 128}, "kind": "dense"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {"units": 128}, "kind": "dense"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
+    '{"args": {"classes": 12}, "kind": "softmax_output"}], "loss": "cross_entropy"}'
+)
+
+
+def test_builder_spec_json_is_pinned():
+    # Stored checkpoints hold this JSON; its keys and layer order must not drift.
+    assert build_cnn1d(12).to_json() == CNN1D_12_JSON
+    assert build_cnn2d(8, 16).to_json() == CNN2D_8_16_JSON
+
+
+@pytest.mark.parametrize("spec", [build_mlp(10), build_cnn1d(12), build_cnn2d(8, 16),
+                                  build_autoencoder(10, 4)], ids=["mlp", "cnn1d", "cnn2d", "ae"])
+def test_network_arrays_roundtrip(spec):
+    net = Network(spec, seed=3)
+    rng = np.random.default_rng(0)
+    for p in net.parameters():  # not the seed's initialization
+        p[...] = rng.normal(size=p.shape)
+    back = network_from_arrays(network_arrays(net, "net_"), "net_")
+    assert back.spec == net.spec
+    for a, b in zip(net.parameters(), back.parameters(), strict=True):
+        assert a.tobytes() == b.tobytes()
+    x = rng.normal(size=(4,) + spec.input_shape)
     assert np.array_equal(back.predict(x), net.predict(x))
 
 
