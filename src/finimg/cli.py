@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: synth, encode, train, evaluate, compare, grid-search. A
-JSON config file mirroring ExperimentConfig can seed any run; explicit
-flags override file values. Exit code 0 on success, 2 on failure with a
-stage-labeled message on stderr.
+JSON config file in ExperimentConfig.from_dict form (unknown keys are
+rejected) can seed any run; explicit flags override file values. Exit
+code 0 on success, 2 on failure with a stage-labeled message on stderr.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .encoding import (
 from .experiment import (
     ALL_METHODS,
     ExperimentConfig,
+    RunRecord,
     classifier_spec,
     emit_report,
     evaluate_pipeline,
@@ -36,9 +38,10 @@ from .experiment import (
     prepare_pipeline,
     run_compare,
     save_pipeline,
+    write_table,
 )
-from .nnet import TrainConfig, grid_search
-from .schema import save_schema
+from .nnet import GridSearchRow, grid_search
+from .schema import SECTION_LABELS, save_schema
 from .synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -84,70 +87,47 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    """Merge config file values with CLI flags (flags win)."""
-    raw = _load_config_file(getattr(args, "config", None))
+# The CLI trains for fewer epochs than TrainConfig's default of 100.
+CLI_EPOCHS = 30
 
-    def pick(flag, key, default):
+# Flag dest -> config key; a dotted key lives in that nested block.
+_FLAG_KEYS = {
+    "data": "data",
+    "schema": "schema",
+    "test_year": "test_year",
+    "methods": "methods",
+    "runs": "randomization_runs",
+    "training_seeds": "training_seeds",
+    "arrangement_seed": "arrangement_seed",
+    "out": "output_dir",
+    "lr": "train.learning_rate",
+    "epochs": "train.epochs",
+    "batch": "train.batch_size",
+    "seed": "train.seed",
+}
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    """The config file's values with the given flags over them (flags win)."""
+    raw = _load_config_file(args.config)
+    raw["train"] = {"epochs": CLI_EPOCHS, **raw.get("train", {})}
+    for flag, key in _FLAG_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
-            return value
-        return raw.get(key, default)
-
-    train_raw = dict(raw.get("train", {}))
-    train = TrainConfig(
-        learning_rate=pick("lr", "_", train_raw.get("learning_rate", 1e-3)),
-        epochs=pick("epochs", "_", train_raw.get("epochs", 30)),
-        batch_size=pick("batch", "_", train_raw.get("batch_size", 32)),
-        seed=pick("seed", "_", train_raw.get("seed", 0)),
-        optimizer=train_raw.get("optimizer", "adam"),
-    )
-    synthetic = None
-    if raw.get("synthetic"):
-        s = raw["synthetic"]
-        counts = s.get("section_counts")
-        synthetic = SyntheticSpec(
-            n_per_year=s.get("n_per_year", 800),
-            years=tuple(s.get("years", (2012, 2016))),
-            kind=s.get("kind", "fundamental"),
-            section_counts=dict(counts) if counts else None,
-            factor_strength=s.get("factor_strength", 0.9),
-            noise=s.get("noise", 1.0),
-            seed=s.get("seed", 0),
-        )
-    methods = getattr(args, "methods", None) or raw.get("methods") or list(
-        ExperimentConfig.__dataclass_fields__["methods"].default
-    )
-    return ExperimentConfig(
-        data=pick("data", "data", None),
-        schema=pick("schema", "schema", None),
-        synthetic=synthetic,
-        test_year=pick("test_year", "test_year", 2016),
-        methods=tuple(methods),
-        randomization_runs=pick("runs", "randomization_runs", 30),
-        training_seeds=pick("training_seeds", "training_seeds", 1),
-        train=train,
-        arrangement_seed=pick("arrangement_seed", "arrangement_seed", 0),
-        autoencoder_code_dim=raw.get("autoencoder_code_dim"),
-        output_dir=pick("out", "output_dir", "out"),
-    )
+            block, _, name = key.rpartition(".")
+            (raw[block] if block else raw)[name] = value
+    return ExperimentConfig.from_dict(raw)
 
 
 def _cmd_synth(args) -> int:
     with _stage("config"):
-        spec = SyntheticSpec(
-            n_per_year=args.n_per_year,
-            years=_parse_years(args.years),
-            kind=args.kind,
-            section_counts=(
-                {label: args.features_per_section for label in _section_labels(args.kind)}
-                if args.features_per_section
-                else None
-            ),
-            factor_strength=args.factor_strength,
-            noise=args.noise,
-            seed=args.seed if args.seed is not None else 0,
-        )
+        given = {f.name: getattr(args, f.name, None) for f in fields(SyntheticSpec)}
+        if args.years is not None:
+            given["years"] = _parse_years(args.years)
+        spec = SyntheticSpec(**{k: v for k, v in given.items() if v is not None})
+        if args.features_per_section:
+            spec = replace(spec, section_counts={
+                label: args.features_per_section for label in SECTION_LABELS[spec.kind]})
         out = Path(args.out or "out")
     with _stage("data"):
         ds = generate_synthetic(spec)
@@ -156,12 +136,6 @@ def _cmd_synth(args) -> int:
         save_schema(ds.schema, out / "schema.csv")
     print(f"wrote {out / 'data.csv'} ({len(ds)} observations) and {out / 'schema.csv'}")
     return 0
-
-
-def _section_labels(kind: str):
-    from .schema import FUNDAMENTAL_SECTIONS, RATIO_CATEGORIES
-
-    return FUNDAMENTAL_SECTIONS if kind == "fundamental" else RATIO_CATEGORIES
 
 
 def _cmd_encode(args) -> int:
@@ -194,7 +168,7 @@ def _cmd_train(args) -> int:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_pipeline(pipe, out / "model.npz")
-        _write_record_csv(out / "metrics.csv", record)
+        _write_metrics(out, record)
     print(f"{args.method}: test accuracy {record.accuracy:.3f}, "
           f"notch distance {_na(record.cond_notch)} -> {out / 'model.npz'}")
     return 0
@@ -204,18 +178,10 @@ def _na(x) -> str:
     return "n/a" if x is None else f"{x:.3f}"
 
 
-def _write_record_csv(path: Path, record) -> None:
-    lines = [
-        "method,accuracy,abs_notch,cond_notch,n_test",
-        ",".join([
-            record.method,
-            f"{record.accuracy:.6f}",
-            f"{record.abs_notch:.6f}",
-            "" if record.cond_notch is None else f"{record.cond_notch:.6f}",
-            str(record.n_test),
-        ]),
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_metrics(out: Path, record: RunRecord) -> None:
+    """One run's metrics.csv: its RunRecord less the run's place in a protocol."""
+    write_table(out / "metrics.csv", RunRecord, [record],
+                exclude=("run_index", "arrangement_seed", "train_seed"))
 
 
 def _cmd_evaluate(args) -> int:
@@ -227,7 +193,7 @@ def _cmd_evaluate(args) -> int:
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            _write_record_csv(out / "metrics.csv", record)
+            _write_metrics(out, record)
     print(f"{record.method}: accuracy {record.accuracy:.3f}, "
           f"abs notch {record.abs_notch:.3f}, cond notch {_na(record.cond_notch)} "
           f"on {record.n_test} observations")
@@ -255,6 +221,9 @@ def _cmd_compare(args) -> int:
 def _cmd_grid_search(args) -> int:
     with _stage("config"):
         config = _experiment_config(args)
+        for x in args.grid.split(","):
+            if not x.strip().isdecimal() or int(x) < 1:
+                raise ValueError(f"grid value {x!r} is not a positive integer")
         grid = [int(x) for x in args.grid.split(",")]
     with _stage("data"):
         ds = load_or_generate(config)
@@ -270,16 +239,7 @@ def _cmd_grid_search(args) -> int:
     with _stage("report"):
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["neurons1,neurons2,train_accuracy,val_accuracy,parameter_count,error"]
-        for r in rows:
-            lines.append(",".join([
-                str(r.neurons1), str(r.neurons2),
-                "" if r.train_accuracy is None else f"{r.train_accuracy:.6f}",
-                "" if r.val_accuracy is None else f"{r.val_accuracy:.6f}",
-                str(r.parameter_count),
-                r.error or "",
-            ]))
-        (out / "grid_search.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(out / "grid_search.csv", GridSearchRow, rows)
     print(f"best (neurons1, neurons2) = {best}; table -> {out / 'grid_search.csv'}")
     return 0
 
@@ -292,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p.add_argument("--n-per-year", type=int, default=800, dest="n_per_year")
-    p.add_argument("--years", default="2012:2016")
-    p.add_argument("--kind", choices=("fundamental", "ratio"), default="fundamental")
+    p.add_argument("--n-per-year", type=int, dest="n_per_year")
+    p.add_argument("--years", help="first:last")
+    p.add_argument("--kind", choices=tuple(SECTION_LABELS))
     p.add_argument("--features-per-section", type=int, dest="features_per_section")
-    p.add_argument("--factor-strength", type=float, default=0.9, dest="factor_strength")
-    p.add_argument("--noise", type=float, default=1.0)
+    p.add_argument("--factor-strength", type=float, dest="factor_strength")
+    p.add_argument("--noise", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_synth)

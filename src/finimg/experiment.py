@@ -13,11 +13,11 @@ training_seeds when sampled distributions are needed for ranking.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +101,16 @@ class ExperimentError(ValueError):
     """Raised for invalid experiment configurations."""
 
 
+def _field_values(cls, raw: dict, where: str) -> dict:
+    """A copy of the JSON object raw after checking its keys are fields of cls."""
+    if not isinstance(raw, dict):
+        raise ExperimentError(f"{where.rstrip('.') or 'config'} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ExperimentError("unknown key " + ", ".join(repr(where + k) for k in unknown))
+    return dict(raw)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: str | None = None
@@ -127,33 +137,23 @@ class ExperimentConfig:
             raise ExperimentError("provide a data path or a synthetic spec")
 
     def to_json(self) -> str:
-        raw = {
-            "data": self.data,
-            "schema": self.schema,
-            "synthetic": None if self.synthetic is None else {
-                "n_per_year": self.synthetic.n_per_year,
-                "years": list(self.synthetic.years),
-                "kind": self.synthetic.kind,
-                "section_counts": self.synthetic.section_counts,
-                "factor_strength": self.synthetic.factor_strength,
-                "noise": self.synthetic.noise,
-                "seed": self.synthetic.seed,
-            },
-            "test_year": self.test_year,
-            "methods": list(self.methods),
-            "randomization_runs": self.randomization_runs,
-            "training_seeds": self.training_seeds,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "seed": self.train.seed,
-                "optimizer": self.train.optimizer,
-            },
-            "arrangement_seed": self.arrangement_seed,
-            "autoencoder_code_dim": self.autoencoder_code_dim,
-        }
+        raw = asdict(self)
+        del raw["output_dir"]
         return json.dumps(raw, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> ExperimentConfig:
+        """The config a JSON object describes; its keys are exactly the fields."""
+        raw = _field_values(cls, raw, "")
+        raw["train"] = TrainConfig(**_field_values(TrainConfig, raw.get("train", {}), "train."))
+        if raw.get("synthetic") is not None:
+            spec = _field_values(SyntheticSpec, raw["synthetic"], "synthetic.")
+            if "years" in spec:
+                spec["years"] = tuple(spec["years"])
+            raw["synthetic"] = SyntheticSpec(**spec)
+        if "methods" in raw:
+            raw["methods"] = tuple(raw["methods"])
+        return cls(**raw)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -183,13 +183,21 @@ class ReportRow:
     significant: bool | None = None
 
 
+@dataclass(frozen=True)
+class PairwiseP:
+    """One pair of the Bonferroni ranking's p-value matrix."""
+
+    method_a: str
+    method_b: str
+    p_value: float
+
+
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow]
     records: dict[str, list[RunRecord]]
     config_hash: str
     seeds: dict[str, int]
-    runtime_seconds: float
     ranking_p: dict[tuple[str, str], float] | None = None
     ranking_text: str | None = None
     reduced_rows: list[dict] = field(default_factory=list)
@@ -454,7 +462,6 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
 
 def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> ExperimentReport:
     """The full protocol: every configured method, significance, ranking."""
-    started = time.time()
     if ds is None:
         ds = load_or_generate(config)
     check_input_shapes(config, ds)
@@ -505,7 +512,6 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
         records=records,
         config_hash=config.config_hash(),
         seeds={"train": config.train.seed, "arrangement": config.arrangement_seed},
-        runtime_seconds=time.time() - started,
         ranking_p=ranking_p,
         ranking_text=ranking_text,
     )
@@ -534,6 +540,29 @@ def _fmt(value: float | None, stderr: float | None, star: bool = False) -> str:
     return text
 
 
+def _cell(value) -> str:
+    """The one cell rule of every CSV table."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    if isinstance(value, dict):
+        return ";".join(f"{k}:{v:.6f}" for k, v in sorted(value.items()))
+    return str(value)
+
+
+def write_table(path: str | Path, cls, rows, exclude: tuple[str, ...] = ()) -> Path:
+    """Write dataclass rows as CSV: one column per field of cls not in exclude."""
+    names = [f.name for f in fields(cls) if f.name not in exclude]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([_cell(getattr(row, n)) for n in names] for row in rows)
+    return Path(path)
+
+
 def emit_report(report: ExperimentReport, out_dir: str | Path,
                 formats: tuple[str, ...] = ("csv", "markdown")) -> list[Path]:
     """Write report files; byte-deterministic for identical inputs."""
@@ -547,38 +576,9 @@ def emit_report(report: ExperimentReport, out_dir: str | Path,
     written = []
 
     if "csv" in formats:
-        lines = ["method,accuracy_mean,accuracy_stderr,notch_mean,notch_stderr,"
-                 "n_runs,p_vs_control,significant"]
-        for row in report.rows:
-            p_txt = ";".join(f"{k}:{v:.6f}" for k, v in sorted(row.p_vs_control.items()))
-            lines.append(",".join([
-                row.method,
-                f"{row.accuracy_mean:.6f}",
-                "" if row.accuracy_stderr is None else f"{row.accuracy_stderr:.6f}",
-                "" if row.notch_mean is None else f"{row.notch_mean:.6f}",
-                "" if row.notch_stderr is None else f"{row.notch_stderr:.6f}",
-                str(row.n_runs),
-                p_txt,
-                "" if row.significant is None else str(row.significant).lower(),
-            ]))
-        path = out / "report.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-
-        lines = ["method,run_index,arrangement_seed,train_seed,accuracy,abs_notch,"
-                 "cond_notch,n_test"]
-        for method in sorted(report.records):
-            for r in report.records[method]:
-                lines.append(",".join([
-                    r.method, str(r.run_index),
-                    "" if r.arrangement_seed is None else str(r.arrangement_seed),
-                    str(r.train_seed), f"{r.accuracy:.6f}", f"{r.abs_notch:.6f}",
-                    "" if r.cond_notch is None else f"{r.cond_notch:.6f}",
-                    str(r.n_test),
-                ]))
-        path = out / "runs.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+        written.append(write_table(out / "report.csv", ReportRow, report.rows))
+        runs = [r for method in sorted(report.records) for r in report.records[method]]
+        written.append(write_table(out / "runs.csv", RunRecord, runs))
 
     if "markdown" in formats:
         lines = [
@@ -616,12 +616,7 @@ def emit_report(report: ExperimentReport, out_dir: str | Path,
 
     if report.ranking_p is not None and "csv" in formats:
         labels = sorted({a for a, _ in report.ranking_p})
-        lines = ["method_a,method_b,p_value"]
-        for a in labels:
-            for b in labels:
-                if a < b:
-                    lines.append(f"{a},{b},{report.ranking_p[(a, b)]:.6f}")
-        path = out / "pairwise_p.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+        pairs = [PairwiseP(a, b, report.ranking_p[(a, b)])
+                 for a in labels for b in labels if a < b]
+        written.append(write_table(out / "pairwise_p.csv", PairwiseP, pairs))
     return written

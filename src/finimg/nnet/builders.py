@@ -44,13 +44,18 @@ def build_mlp(input_dim: int, hidden: int = 128, dropout_rate: float = 0.3,
 
 def _build_cnn(spatial: tuple[int, ...], filters: tuple[int, int], kernel: int,
                dense_units: int, classes: int) -> NetworkSpec:
-    """Conv stack over one (conv1d) or two (conv2d) spatial axes, then dense head."""
+    """Conv stack over one (conv1d) or two (conv2d) spatial axes, then dense head.
+
+    Every conv checks its feature map fits the kernel; with kernel 3 that
+    needs inputs of at least 8 on each axis.
+    """
     layers: list[LayerSpec] = []
     sizes = spatial
     for f in filters:
         if min(sizes) < kernel:
             raise InputTooSmallError(
-                f"feature map {'x'.join(map(str, sizes))} too small for kernel {kernel}"
+                f"input {'x'.join(map(str, spatial))} too small: feature map "
+                f"{'x'.join(map(str, sizes))} is smaller than kernel {kernel}"
             )
         conv = conv1d(f, kernel) if len(sizes) == 1 else conv2d(f, kernel, kernel)
         layers += [conv, activation()]
@@ -71,8 +76,6 @@ def build_cnn1d(input_len: int, filters1: int = 64, filters2: int = 32,
                 kernel: int = 3, dense_units: int = 128,
                 classes: int = N_CLASSES) -> NetworkSpec:
     """Two 1D convolutions over the raw feature vector, then dense head."""
-    if input_len < 7:
-        raise InputTooSmallError(f"need at least 7 inputs, got {input_len}")
     return _build_cnn((input_len,), (filters1, filters2), kernel, dense_units, classes)
 
 
@@ -80,8 +83,6 @@ def build_cnn2d(rows: int, cols: int, filters1: int = 64, filters2: int = 32,
                 kernel: int = 3, dense_units: int = 128,
                 classes: int = N_CLASSES) -> NetworkSpec:
     """Two 2D convolutions over an image grid, then dense head."""
-    if rows < 7 or cols < 7:
-        raise InputTooSmallError(f"need at least a 7x7 grid, got {rows}x{cols}")
     return _build_cnn((rows, cols), (filters1, filters2), kernel, dense_units, classes)
 
 

@@ -31,6 +31,8 @@ RATIO_CATEGORIES = (
     "other",
 )
 
+SECTION_LABELS = {"fundamental": FUNDAMENTAL_SECTIONS, "ratio": RATIO_CATEGORIES}
+
 # The published per-section counts add to 330 while the feature total is
 # 332 everywhere else; core_earnings absorbs the 2-feature difference.
 CANONICAL_FUNDAMENTAL_COUNTS = (78, 45, 75, 33, 49, 52)
@@ -66,12 +68,9 @@ class FeatureSchema:
     dataset_kind: str
 
     def __post_init__(self):
-        if self.dataset_kind == "fundamental":
-            labels = FUNDAMENTAL_SECTIONS
-        elif self.dataset_kind == "ratio":
-            labels = RATIO_CATEGORIES
-        else:
+        if self.dataset_kind not in SECTION_LABELS:
             raise SchemaError(f"unknown dataset kind {self.dataset_kind!r}")
+        labels = SECTION_LABELS[self.dataset_kind]
         if not self.features:
             raise SchemaError("schema has no features")
         names = [name for name, _ in self.features]
@@ -112,9 +111,8 @@ class FeatureSchema:
     @property
     def section_order(self) -> tuple[str, ...]:
         """Sections present in this schema, in canonical statement order."""
-        labels = FUNDAMENTAL_SECTIONS if self.dataset_kind == "fundamental" else RATIO_CATEGORIES
         present = {section for _, section in self.features}
-        return tuple(label for label in labels if label in present)
+        return tuple(label for label in SECTION_LABELS[self.dataset_kind] if label in present)
 
     def section_counts(self) -> dict[str, int]:
         counts = {label: 0 for label in self.section_order}
@@ -140,7 +138,9 @@ def build_schema(kind: str, counts: dict[str, int] | None = None) -> FeatureSche
     counts maps section label to feature count; defaults to the canonical
     332-feature fundamental or 69-feature ratio layout.
     """
-    order = FUNDAMENTAL_SECTIONS if kind == "fundamental" else RATIO_CATEGORIES
+    if kind not in SECTION_LABELS:
+        raise SchemaError(f"unknown dataset kind {kind!r}")
+    order = SECTION_LABELS[kind]
     if counts is None:
         canonical = (
             CANONICAL_FUNDAMENTAL_COUNTS
@@ -183,13 +183,10 @@ def load_schema(path: str | Path) -> FeatureSchema:
             raise SchemaError(f"{path}: expected header 'name,section'")
         features = tuple((row[0], row[1]) for row in reader if row)
     sections = {section for _, section in features}
-    if sections <= set(FUNDAMENTAL_SECTIONS):
-        kind = "fundamental"
-    elif sections <= set(RATIO_CATEGORIES):
-        kind = "ratio"
-    else:
-        raise SchemaError(f"{path}: section labels match no known dataset kind")
-    return FeatureSchema(features, kind)
+    for kind, labels in SECTION_LABELS.items():
+        if sections <= set(labels):
+            return FeatureSchema(features, kind)
+    raise SchemaError(f"{path}: section labels match no known dataset kind")
 
 
 class UnknownRatingError(ValueError):

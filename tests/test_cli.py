@@ -155,6 +155,27 @@ def test_compare_config_file_with_flag_override(tmp_path, synth_dir):
     assert len(runs) == 2
 
 
+@pytest.mark.parametrize("typo, key", [
+    ({"train": {"epoch": 1}}, "'train.epoch'"),
+    ({"arrangment_seed": 3}, "'arrangment_seed'"),
+    ({"synthetic": {"seeds": 1}}, "'synthetic.seeds'"),
+])
+def test_config_file_unknown_key_fails_at_config_stage(tmp_path, synth_dir, capsys, typo, key):
+    config = {
+        "data": str(synth_dir / "data.csv"),
+        "schema": str(synth_dir / "schema.csv"),
+        "methods": ["mlp"],
+        "train": {"epochs": 1},
+        **typo,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"[config] unknown key {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_search_command(tmp_path, synth_dir):
     out = tmp_path / "gs"
     code = run_cli(
@@ -167,6 +188,19 @@ def test_grid_search_command(tmp_path, synth_dir):
     rows = (out / "grid_search.csv").read_text().splitlines()
     assert rows[0].startswith("neurons1,neurons2,")
     assert len(rows) == 1 + 4
+
+
+@pytest.mark.parametrize("grid, value", [("0,8", "'0'"), ("-4,8", "'-4'")])
+def test_grid_search_rejects_non_positive_grid_values(tmp_path, synth_dir, capsys, grid, value):
+    code = run_cli(
+        "grid-search", "--data", str(synth_dir / "data.csv"),
+        "--schema", str(synth_dir / "schema.csv"),
+        "--test-year", "2016", "--model", "sa", f"--grid={grid}",
+        "--epochs", "1", "--seed", "0", "--out", str(tmp_path / "gs"),
+    )
+    assert code == 2
+    assert f"[config] grid value {value} is not a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "gs").exists()
 
 
 def test_missing_file_fails_cleanly(tmp_path, capsys):

@@ -1,12 +1,22 @@
+import importlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finimg import experiment
 from finimg.data import Dataset
 from finimg.encoding import ZERO_PAD
 from finimg.experiment import (
+    ALL_METHODS,
     ExperimentConfig,
     ExperimentError,
+    ExperimentReport,
+    ReportRow,
+    RunRecord,
     autoencoder_code_dim,
     emit_report,
     evaluate_pipeline,
@@ -19,7 +29,7 @@ from finimg.experiment import (
     save_pipeline,
 )
 from finimg.nnet import InputTooSmallError, SpecError, TrainConfig, save_arrays
-from finimg.schema import FUNDAMENTAL_SECTIONS
+from finimg.schema import FUNDAMENTAL_SECTIONS, SECTION_LABELS
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
 SMALL = {s: 11 for s in FUNDAMENTAL_SECTIONS}  # 66 features, reduced target 64
@@ -67,6 +77,88 @@ def test_config_hash_stable_and_sensitive():
     assert a.config_hash() == b.config_hash()
     c = small_config(randomization_runs=3)
     assert a.config_hash() != c.config_hash()
+
+
+# The config JSON is hashed into every report, so its exact bytes are pinned.
+PLAIN_CONFIG_JSON = (
+    '{"arrangement_seed": 0, "autoencoder_code_dim": null, "data": "d.csv", "methods": '
+    '["mlp", "cnn1d", "sa", "ra", "cca", "wcr", "bcr", "hva", "hvr"], "randomization_runs": 30, '
+    '"schema": "s.csv", "synthetic": null, "test_year": 2016, "train": {"batch_size": 32, '
+    '"epochs": 100, "learning_rate": 0.001, "optimizer": "adam", "seed": 0}, "training_seeds": 1}'
+)
+SYNTHETIC_CONFIG_JSON = (
+    '{"arrangement_seed": 2, "autoencoder_code_dim": 9, "data": null, "methods": '
+    '["mlp", "hva", "hvr"], "randomization_runs": 3, "schema": null, "synthetic": '
+    '{"factor_strength": 0.9, "kind": "ratio", "n_per_year": 30, "noise": 1.0, '
+    '"section_counts": {"other": 3, "valuation": 2}, "seed": 4, "years": [2014, 2016]}, '
+    '"test_year": 2016, "train": {"batch_size": 8, "epochs": 3, "learning_rate": 0.01, '
+    '"optimizer": "sgd", "seed": 5}, "training_seeds": 2}'
+)
+
+
+def test_config_json_and_hash_are_pinned():
+    plain = ExperimentConfig(data="d.csv", schema="s.csv")
+    synthetic = ExperimentConfig(
+        synthetic=SyntheticSpec(n_per_year=30, years=(2014, 2016), kind="ratio", seed=4,
+                                section_counts={"valuation": 2, "other": 3}),
+        methods=("mlp", "hva", "hvr"), randomization_runs=3, training_seeds=2,
+        train=TrainConfig(learning_rate=0.01, epochs=3, batch_size=8, seed=5, optimizer="sgd"),
+        arrangement_seed=2, autoencoder_code_dim=9, output_dir="elsewhere")
+    assert plain.to_json() == PLAIN_CONFIG_JSON
+    assert plain.config_hash() == "1fddfbccf4fed4d6"
+    assert synthetic.to_json() == SYNTHETIC_CONFIG_JSON
+    assert synthetic.config_hash() == "58583cd74dda19e9"
+
+
+@st.composite
+def configs(draw):
+    synthetic = draw(st.none() | st.builds(
+        SyntheticSpec,
+        n_per_year=st.integers(12, 5000),
+        years=st.tuples(st.integers(1990, 2010), st.integers(2010, 2030)),
+        kind=st.sampled_from(tuple(SECTION_LABELS)),
+        section_counts=st.none() | st.dictionaries(
+            st.sampled_from(FUNDAMENTAL_SECTIONS), st.integers(1, 90), min_size=1),
+        factor_strength=st.floats(0.0, 1.0),
+        noise=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    ))
+    path = st.text(max_size=12)
+    return ExperimentConfig(
+        data=draw(path if synthetic is None else st.none() | path),
+        schema=draw(st.none() | path),
+        synthetic=synthetic,
+        test_year=draw(st.integers(1990, 2030)),
+        methods=tuple(draw(st.lists(st.sampled_from(ALL_METHODS), min_size=1, unique=True))),
+        randomization_runs=draw(st.integers(2, 100)),
+        training_seeds=draw(st.integers(1, 10)),
+        train=draw(st.builds(
+            TrainConfig,
+            learning_rate=st.floats(0.0, 1.0),
+            epochs=st.integers(0, 1000),
+            batch_size=st.integers(1, 1024),
+            seed=st.integers(0, 2**32 - 1),
+            optimizer=st.sampled_from(("sgd", "adam")),
+        )),
+        arrangement_seed=draw(st.integers(0, 2**32 - 1)),
+        autoencoder_code_dim=draw(st.none() | st.integers(1, 400)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_config_from_dict_inverts_to_json(config):
+    assert ExperimentConfig.from_dict(json.loads(config.to_json())) == config
+
+
+def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
+    """The benchmark's tracer wraps names bound on finimg modules; each must exist."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = (experiment.emit_report, experiment.fit_pipeline, experiment.train)
+    with tracing.Tracer().installed():
+        assert experiment.emit_report is not originals[0]
+    assert (experiment.emit_report, experiment.fit_pipeline, experiment.train) == originals
 
 
 def test_grid_tensor_places_values_and_pads():
@@ -242,10 +334,58 @@ def test_emit_report_significance_star(tmp_path, dataset):
 def test_emit_report_empty_rows_rejected():
     from finimg.experiment import ExperimentReport
 
-    empty = ExperimentReport(rows=[], records={}, config_hash="x", seeds={},
-                             runtime_seconds=0.0)
+    empty = ExperimentReport(rows=[], records={}, config_hash="x", seeds={})
     with pytest.raises(ExperimentError):
         emit_report(empty, "/tmp/should_not_exist_report")
+
+
+def test_emit_report_bytes_are_pinned(tmp_path):
+    """Every cell kind of the CSV tables, on a hand-built report."""
+    report = ExperimentReport(
+        rows=[
+            ReportRow("hva", 0.25, None, 1.5, None, 1, {"hvr": 0.0123456789}, True),
+            ReportRow("cca", 0.2, None, None, None, 1, {"wcr": 0.5, "bcr": 0.04}, False),
+            ReportRow("hvr", 0.125, 0.0312, 2.25, 0.5, 2),
+        ],
+        records={
+            "hvr": [RunRecord("hvr", 0, 3, 0, 0.125, 1.75, 2.25, 8),
+                    RunRecord("hvr", 1, 4, 0, 0.25, 1.0, None, 8)],
+            "hva": [RunRecord("hva", 0, None, 7, 1 / 3, 2.0, 1.5, 9)],
+        },
+        config_hash="0123456789abcdef",
+        seeds={"train": 7, "arrangement": 3},
+        ranking_p={("cca", "hva"): 0.001, ("hva", "cca"): 0.001, ("cca", "sa"): 0.5,
+                   ("sa", "cca"): 0.5, ("hva", "sa"): 1.0, ("sa", "hva"): 1.0},
+        ranking_text="hva a; cca ab; sa b",
+    )
+    written = emit_report(report, tmp_path)
+    assert [p.name for p in written] == ["report.csv", "runs.csv", "report.md", "pairwise_p.csv"]
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b"method,accuracy_mean,accuracy_stderr,notch_mean,notch_stderr,n_runs,p_vs_control,"
+        b"significant\n"
+        b"hva,0.250000,,1.500000,,1,hvr:0.012346,true\n"
+        b"cca,0.200000,,,,1,bcr:0.040000;wcr:0.500000,false\n"
+        b"hvr,0.125000,0.031200,2.250000,0.500000,2,,\n"
+    )
+    assert (tmp_path / "runs.csv").read_bytes() == (
+        b"method,run_index,arrangement_seed,train_seed,accuracy,abs_notch,cond_notch,n_test\n"
+        b"hva,0,,7,0.333333,2.000000,1.500000,9\n"
+        b"hvr,0,3,0,0.125000,1.750000,2.250000,8\n"
+        b"hvr,1,4,0,0.250000,1.000000,,8\n"
+    )
+    assert (tmp_path / "pairwise_p.csv").read_bytes() == (
+        b"method_a,method_b,p_value\ncca,hva,0.001000\ncca,sa,0.500000\nhva,sa,1.000000\n"
+    )
+    assert (tmp_path / "report.md").read_bytes() == (
+        b"# Encoding method comparison\n\n"
+        b'Config hash: `0123456789abcdef`; seeds: {"arrangement": 3, "train": 7}\n\n'
+        b"| Method | Accuracy | Notch Distance |\n| --- | --- | --- |\n"
+        b"| Hilbert Vector Arrangement (HVA) | 0.250* | 1.500 |\n"
+        b"| Category Chunk Arrangement (CCA) | 0.200 | n/a |\n"
+        b"| Hilbert Vector Randomization | 0.125 (0.031) | 2.250 (0.500) |\n\n"
+        b"`*` marks encodings one-sidedly above their randomized control at p < 0.05.\n\n"
+        b"Ranking groups (Bonferroni-adjusted): hva a; cca ab; sa b\n"
+    )
 
 
 def test_reduced_padding_study_rows(dataset):

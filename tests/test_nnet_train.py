@@ -72,6 +72,13 @@ def test_builder_input_guards():
         build_cnn2d(6, 30)
     with pytest.raises(InputTooSmallError):
         build_cnn2d(7, 7)  # second conv has no room after pooling
+    # 7 -> conv 5 -> pool 2 leaves no room for the second kernel-3 conv; 8 is the minimum.
+    with pytest.raises(InputTooSmallError, match="input 7 too small"):
+        build_cnn1d(7)
+    with pytest.raises(InputTooSmallError, match="input 8x7 too small"):
+        build_cnn2d(8, 7)
+    assert build_cnn1d(8).input_shape == (1, 8)
+    assert build_cnn2d(8, 8).input_shape == (1, 8, 8)
 
 
 def test_mlp_parameter_count_by_shape_arithmetic():
