@@ -35,8 +35,8 @@ from .metrics import (
     precision_recall_f1_macro,
 )
 from .schema import (
+    RATING_TO_CLASS,
     FeatureSchema,
-    RatingScale,
     build_schema,
     fundamental_schema,
     load_schema,

@@ -33,6 +33,7 @@ from .experiment import (
     emit_report,
     evaluate_pipeline,
     fit_pipeline,
+    fmt_stat,
     load_or_generate,
     load_pipeline,
     prepare_pipeline,
@@ -81,7 +82,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return raw
@@ -170,12 +174,8 @@ def _cmd_train(args) -> int:
         save_pipeline(pipe, out / "model.npz")
         _write_metrics(out, record)
     print(f"{args.method}: test accuracy {record.accuracy:.3f}, "
-          f"notch distance {_na(record.cond_notch)} -> {out / 'model.npz'}")
+          f"notch distance {fmt_stat(record.cond_notch)} -> {out / 'model.npz'}")
     return 0
-
-
-def _na(x) -> str:
-    return "n/a" if x is None else f"{x:.3f}"
 
 
 def _write_metrics(out: Path, record: RunRecord) -> None:
@@ -195,7 +195,7 @@ def _cmd_evaluate(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
             _write_metrics(out, record)
     print(f"{record.method}: accuracy {record.accuracy:.3f}, "
-          f"abs notch {record.abs_notch:.3f}, cond notch {_na(record.cond_notch)} "
+          f"abs notch {record.abs_notch:.3f}, cond notch {fmt_stat(record.cond_notch)} "
           f"on {record.n_test} observations")
     return 0
 
@@ -211,9 +211,8 @@ def _cmd_compare(args) -> int:
     with _stage("report"):
         written = emit_report(report, config.output_dir, formats)
     for row in report.rows:
-        star = "*" if row.significant else ""
-        se = f" ({row.accuracy_stderr:.3f})" if row.accuracy_stderr is not None else ""
-        print(f"{row.method:>14}: {row.accuracy_mean:.3f}{se}{star}")
+        print(f"{row.method:>14}: "
+              f"{fmt_stat(row.accuracy_mean, row.accuracy_stderr, bool(row.significant))}")
     print(f"report files: {', '.join(str(p) for p in written)}")
     return 0
 
@@ -232,7 +231,7 @@ def _cmd_grid_search(args) -> int:
             config, args.model, ds, config.train, arrangement_seed=config.arrangement_seed)
 
         def builder(n1, n2):
-            return classifier_spec(args.model, tx.shape[1:], filters1=n1, filters2=n2)
+            return classifier_spec(pipe.input_shape, filters1=n1, filters2=n2)
 
         best, rows = grid_search(builder, grid, (tx, train_raw.labels),
                                  (pipe.transform(test_raw), test_raw.labels), config.train)
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="tune conv filter counts on a grid")
     _add_common_flags(p)
-    p.add_argument("--model", default="sa", choices=("sa", "cca", "hva", "cnn1d"))
+    p.add_argument("--model", default="sa", choices=DETERMINISTIC_METHODS + ("cnn1d",))
     p.add_argument("--grid", default="16,32,64,128")
     p.set_defaults(func=_cmd_grid_search)
     return parser

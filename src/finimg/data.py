@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,9 +17,9 @@ import numpy as np
 
 from .schema import (
     CLASS_TO_RATING,
-    FeatureSchema,
     N_CLASSES,
-    RatingScale,
+    FeatureSchema,
+    UnknownRatingError,
     load_schema,
     map_rating,
 )
@@ -170,17 +171,21 @@ def standardize(values: np.ndarray, params: StandardizationParams) -> np.ndarray
 
 
 _META_COLUMNS = ["id", "year", "quarter", "rating"]
+# An empty cell parses to a NaN whose payload no text parses to, so one
+# vectorized pass over the parsed values tells missing cells from text
+# that parsed to nan or inf.
+_EMPTY_BITS = 0x7FF8_0000_0000_0001
+_EMPTY = struct.unpack("<d", struct.pack("<Q", _EMPTY_BITS))[0]
 
 
-def load_csv(
-    path: str | Path,
-    schema: FeatureSchema,
-    scale: RatingScale | None = None,
-) -> Dataset:
-    """Load a data CSV with header ``id,year,quarter,rating,<features...>``."""
-    scale = scale or RatingScale()
+def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
+    """Load a data CSV with header ``id,year,quarter,rating,<features...>``.
+
+    Empty feature cells are missing (NaN); any other cell must be a finite
+    number, the quarter must be 1..4 and the rating a known one.
+    """
     expected = _META_COLUMNS + list(schema.names)
-    ids, years, quarters, labels, rows = [], [], [], [], []
+    ids, years, quarters, labels, rows, linenos = [], [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -197,11 +202,15 @@ def load_csv(
                 quarters.append(int(row[2]))
             except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: bad period field: {exc}") from None
-            labels.append(map_rating(row[3], scale))
+            try:
+                labels.append(map_rating(row[3]))
+            except UnknownRatingError as exc:
+                raise DatasetError(f"{path}:{lineno}: column 4: {exc}") from None
+            linenos.append(lineno)
             parsed = []
             for j, cell in enumerate(row[4:], start=5):
                 if cell == "":
-                    parsed.append(math.nan)
+                    parsed.append(_EMPTY)
                 else:
                     try:
                         parsed.append(float(cell))
@@ -211,11 +220,23 @@ def load_csv(
                         ) from None
             rows.append(parsed)
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(schema)))
+    empty = values.view(np.uint64) == _EMPTY_BITS
+    bad = np.flatnonzero(~(np.isfinite(values) | empty))
+    if bad.size:
+        i, j = divmod(int(bad[0]), len(schema))
+        raise DatasetError(f"{path}:{linenos[i]}: column {j + 5}: "
+                           f"value {float(values[i, j])} is not finite")
+    values[empty] = math.nan
+    quarters = np.array(quarters, dtype=int)
+    bad = np.flatnonzero((quarters < 1) | (quarters > 4))
+    if bad.size:
+        i = int(bad[0])
+        raise DatasetError(f"{path}:{linenos[i]}: column 3: quarter {quarters[i]} outside 1..4")
     return Dataset(
         schema=schema,
         entity_ids=tuple(ids),
         years=np.array(years, dtype=int),
-        quarters=np.array(quarters, dtype=int),
+        quarters=quarters,
         values=values,
         labels=np.array(labels, dtype=int),
     )

@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,25 +63,8 @@ from .nnet import (
     train,
     with_seed,
 )
-from .schema import FeatureSchema
 from .stats import ZeroVarianceError, one_sample_t_greater, pairwise_t_bonferroni, summarize
 from .synthetic import SyntheticSpec, generate_synthetic
-
-ALL_METHODS = (
-    "mlp",
-    "cnn1d",
-    "sa",
-    "ra",
-    "cca",
-    "wcr",
-    "bcr",
-    "hva",
-    "hvr",
-    "reduced_hva",
-    "autoencoder_sa",
-)
-RANDOMIZED = RANDOMIZED_METHODS
-CONTROL_OF = {"sa": ("ra",), "cca": ("wcr", "bcr"), "hva": ("hvr",)}
 
 METHOD_TITLES = {
     "mlp": "MLP",
@@ -95,20 +79,62 @@ METHOD_TITLES = {
     "reduced_hva": "Reduced-Zero Padding (HVA)",
     "autoencoder_sa": "Auto-encoder + SA",
 }
+ALL_METHODS = tuple(METHOD_TITLES)
+RANDOMIZED = RANDOMIZED_METHODS
+CONTROL_OF = {"sa": ("ra",), "cca": ("wcr", "bcr"), "hva": ("hvr",)}
+# Side-study method -> (the method it is compared with, report heading,
+# the two column titles of its report table).
+SIDE_STUDIES = {
+    "reduced_hva": ("hva", "Reduced zero padding",
+                    ("Reduced HVA accuracy", "Original HVA accuracy")),
+    "autoencoder_sa": ("sa", "Auto-encoder study", ("Auto-encoder accuracy", "SA accuracy")),
+}
 
 
 class ExperimentError(ValueError):
     """Raised for invalid experiment configurations."""
 
 
-def _field_values(cls, raw: dict, where: str) -> dict:
-    """A copy of the JSON object raw after checking its keys are fields of cls."""
+def _fits(value, tp) -> bool:
+    """Whether a JSON value fits a field type; an int fits a float, a bool no number."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:  # tuple[T, ...], or a fixed-length tuple of one T
+        return (isinstance(value, tuple) and (args[-1] is Ellipsis or len(value) == len(args))
+                and all(_fits(v, args[0]) for v in value))
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def _from_json(cls, raw, where: str = ""):
+    """The dataclass a JSON object describes; its keys are exactly fields of cls.
+
+    Each value must fit its field's type. Nested dataclasses are JSON
+    objects and tuples are JSON arrays; errors name the dotted key.
+    """
     if not isinstance(raw, dict):
         raise ExperimentError(f"{where.rstrip('.') or 'config'} must be a JSON object")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ExperimentError("unknown key " + ", ".join(repr(where + k) for k in unknown))
-    return dict(raw)
+    types = get_type_hints(cls)
+    values = {}
+    for key, value in raw.items():
+        tp = types[key]
+        nested = [t for t in get_args(tp) or (tp,) if is_dataclass(t)]
+        if nested and isinstance(value, dict):
+            value = _from_json(nested[0], value, f"{where}{key}.")
+        elif isinstance(value, list):
+            value = tuple(value)
+        if not _fits(value, tp):
+            name = tp.__name__ if isinstance(tp, type) else tp
+            raise ExperimentError(f"{where}{key} must be {name}, got {value!r}")
+        values[key] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -117,7 +143,7 @@ class ExperimentConfig:
     schema: str | None = None
     synthetic: SyntheticSpec | None = None
     test_year: int = 2016
-    methods: tuple[str, ...] = ("mlp", "cnn1d", "sa", "ra", "cca", "wcr", "bcr", "hva", "hvr")
+    methods: tuple[str, ...] = tuple(m for m in ALL_METHODS if m not in SIDE_STUDIES)
     randomization_runs: int = 30
     training_seeds: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -144,16 +170,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> ExperimentConfig:
         """The config a JSON object describes; its keys are exactly the fields."""
-        raw = _field_values(cls, raw, "")
-        raw["train"] = TrainConfig(**_field_values(TrainConfig, raw.get("train", {}), "train."))
-        if raw.get("synthetic") is not None:
-            spec = _field_values(SyntheticSpec, raw["synthetic"], "synthetic.")
-            if "years" in spec:
-                spec["years"] = tuple(spec["years"])
-            raw["synthetic"] = SyntheticSpec(**spec)
-        if "methods" in raw:
-            raw["methods"] = tuple(raw["methods"])
-        return cls(**raw)
+        return _from_json(cls, raw)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -200,8 +217,6 @@ class ExperimentReport:
     seeds: dict[str, int]
     ranking_p: dict[tuple[str, str], float] | None = None
     ranking_text: str | None = None
-    reduced_rows: list[dict] = field(default_factory=list)
-    autoencoder_rows: list[dict] = field(default_factory=list)
 
 
 def load_or_generate(config: ExperimentConfig) -> Dataset:
@@ -220,16 +235,8 @@ def _metrics_record(method: str, run_index: int, arrangement_seed: int | None,
         cond = conditional_notch(dist)
     except AllCorrectError:
         cond = None
-    return RunRecord(
-        method=method,
-        run_index=run_index,
-        arrangement_seed=arrangement_seed,
-        train_seed=train_seed,
-        accuracy=accuracy(pset),
-        abs_notch=expected_abs_notch(dist),
-        cond_notch=cond,
-        n_test=len(pset),
-    )
+    return RunRecord(method, run_index, arrangement_seed, train_seed, accuracy(pset),
+                     expected_abs_notch(dist), cond, len(pset))
 
 
 def largest_square_target(d: int) -> int:
@@ -269,26 +276,62 @@ class FittedPipeline:
 
     method: str
     keep: np.ndarray
-    standardizer: StandardizationParams
+    standardizer: StandardizationParams | None = None
     network: Network | None = None
     provenance: np.ndarray | None = None
     autoencoder: Network | None = None
+
+    @property
+    def input_shape(self) -> tuple[int, ...]:
+        """The classifier's input shape (no batch axis)."""
+        if self.provenance is not None:
+            return (1, *self.provenance.shape)
+        return (len(self.keep),) if self.method == "mlp" else (1, len(self.keep))
 
     def transform(self, ds: Dataset) -> np.ndarray:
         values = ds.values
         if values.shape[1] != self.keep.shape[0]:
             values = values[:, self.keep]
         values = standardize(values, self.standardizer)
-        if self.method == "mlp":
-            return values
-        if self.method == "cnn1d":
-            return values[:, None, :]
-        if self.method == "autoencoder_sa":
+        if self.autoencoder is not None:
             values = encode_codes(self.autoencoder, values)
+        if self.provenance is None:
+            return values.reshape(len(values), *self.input_shape)
         return grid_tensor(values, self.provenance)
 
     def predict_classes(self, ds: Dataset) -> np.ndarray:
         return self.network.predict_classes(self.transform(ds))
+
+
+def _layout(config: ExperimentConfig, method: str, ds: Dataset, arrangement_seed: int,
+            ) -> tuple[FittedPipeline, Dataset, NetworkSpec | None]:
+    """The part of a method that reads no fitted values.
+
+    Returns the pipeline with its kept features and index map but nothing
+    fitted, the dataset reduced to the kept features, and the
+    auto-encoder architecture (autoencoder_sa only).
+    """
+    if method not in ALL_METHODS:
+        raise ExperimentError(f"unknown method {method!r}")
+    keep = np.arange(len(ds.schema))
+    base = method
+    if method == "reduced_hva":
+        original_positions = {name: i for i, name in enumerate(ds.schema.names)}
+        ds, _ = reduce_features(ds, largest_square_target(len(ds.schema)))
+        keep = np.array([original_positions[n] for n in ds.schema.names])
+        base = "hva"
+    pipe = FittedPipeline(method=method, keep=keep)
+    autoencoder = None
+    # An index map depends only on the feature count, not on the values.
+    if method == "autoencoder_sa":
+        code_dim = autoencoder_code_dim(config, len(keep))
+        autoencoder = build_autoencoder(len(keep), code_dim)
+        pipe.provenance = sequential_arrange(np.zeros(code_dim),
+                                             *_code_grid_shape(code_dim)).provenance
+    elif method not in ("mlp", "cnn1d"):
+        spec = default_spec(base, ds.schema, seed=arrangement_seed)
+        pipe.provenance = arrange(np.zeros(len(keep)), ds.schema, spec).provenance
+    return pipe, ds, autoencoder
 
 
 def prepare_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
@@ -300,50 +343,23 @@ def prepare_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
     training inputs, and the raw training and test splits. The
     auto-encoder of autoencoder_sa is trained here, on training rows only.
     """
-    if method not in ALL_METHODS:
-        raise ExperimentError(f"unknown method {method!r}")
-    keep = np.arange(len(ds.schema))
-    if method == "reduced_hva":
-        target = largest_square_target(len(ds.schema))
-        original_positions = {name: i for i, name in enumerate(ds.schema.names)}
-        ds, _ = reduce_features(ds, target)
-        keep = np.array([original_positions[n] for n in ds.schema.names])
+    pipe, ds, autoencoder = _layout(config, method, ds, arrangement_seed)
     train_raw, test_raw = out_of_time_split(ds, config.test_year)
     if len(train_raw) == 0:
         raise ExperimentError(f"no training data before {config.test_year}")
-    params = fit_standardizer(train_raw)
-    train_values = apply_standardizer(train_raw, params).values
-    d = len(ds.schema)
-    pipe = FittedPipeline(method=method, keep=keep, standardizer=params)
-    if method == "mlp":
-        return pipe, train_values, train_raw, test_raw
-    if method == "cnn1d":
-        return pipe, train_values[:, None, :], train_raw, test_raw
-    if method == "autoencoder_sa":
-        code_dim = autoencoder_code_dim(config, d)
-        pipe.autoencoder = train(build_autoencoder(d, code_dim), train_values,
-                                 train_values, train_config)
-        train_values = encode_codes(pipe.autoencoder, train_values)
-        # The index map depends only on the code length, not on the values.
-        pipe.provenance = sequential_arrange(np.zeros(code_dim),
-                                             *_code_grid_shape(code_dim)).provenance
-    else:
-        pipe.provenance = _index_map(method, ds.schema, arrangement_seed)
-    return pipe, grid_tensor(train_values, pipe.provenance), train_raw, test_raw
+    pipe.standardizer = fit_standardizer(train_raw)
+    if autoencoder is not None:
+        train_values = apply_standardizer(train_raw, pipe.standardizer).values
+        pipe.autoencoder = train(autoencoder, train_values, train_values, train_config)
+    return pipe, pipe.transform(train_raw), train_raw, test_raw
 
 
-def _index_map(method: str, schema: FeatureSchema, seed: int) -> np.ndarray:
-    base = "hva" if method == "reduced_hva" else method
-    spec = default_spec(base, schema, seed=seed)
-    # The index map depends only on the feature count, not on the values.
-    return arrange(np.zeros(len(schema)), schema, spec).provenance
-
-
-def classifier_spec(method: str, input_shape: tuple[int, ...], **filters) -> NetworkSpec:
-    """The classifier architecture for a method's encoded input shape (no batch axis)."""
-    if method == "mlp":
+def classifier_spec(input_shape: tuple[int, ...], **filters) -> NetworkSpec:
+    """The classifier for an encoded input shape (no batch axis), by its rank:
+    a vector feeds the MLP, one channel of a vector the 1D CNN, an image the 2D CNN."""
+    if len(input_shape) == 1:
         return build_mlp(input_shape[0])
-    if method == "cnn1d":
+    if len(input_shape) == 2:
         return build_cnn1d(input_shape[1], **filters)
     return build_cnn2d(*input_shape[1:], **filters)
 
@@ -354,23 +370,9 @@ def check_input_shapes(config: ExperimentConfig, ds: Dataset) -> None:
     Raises the builders' errors (such as InputTooSmallError) before any
     model is trained, so a method that cannot run costs no earlier fits.
     """
-    d = len(ds.schema)
     for method in config.methods:
-        if method == "mlp":
-            shape = (d,)
-        elif method == "cnn1d":
-            shape = (1, d)
-        elif method == "reduced_hva":
-            # The minimal Hilbert curve over 4**n features is a 2**n square.
-            side = math.isqrt(largest_square_target(d))
-            shape = (1, side, side)
-        elif method == "autoencoder_sa":
-            code_dim = autoencoder_code_dim(config, d)
-            build_autoencoder(d, code_dim)
-            shape = (1, *_code_grid_shape(code_dim))
-        else:
-            shape = (1, *_index_map(method, ds.schema, config.arrangement_seed).shape)
-        classifier_spec(method, shape)
+        pipe, _, _ = _layout(config, method, ds, config.arrangement_seed)
+        classifier_spec(pipe.input_shape)
 
 
 def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
@@ -384,7 +386,7 @@ def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
     train_config = with_seed(config.train, train_seed)
     pipe, train_x, train_raw, test_raw = prepare_pipeline(
         config, method, ds, train_config, arrangement_seed)
-    pipe.network = train(classifier_spec(method, train_x.shape[1:]), train_x, train_raw.labels,
+    pipe.network = train(classifier_spec(pipe.input_shape), train_x, train_raw.labels,
                          train_config)
     record = _metrics_record(method, 0, arrangement_seed if method in RANDOMIZED else None,
                              train_seed, test_raw.labels, pipe.predict_classes(test_raw))
@@ -440,16 +442,13 @@ def run_method(config: ExperimentConfig, method: str, ds: Dataset | None = None)
     """
     if ds is None:
         ds = load_or_generate(config)
+    randomized = method in RANDOMIZED
     records = []
-    if method in RANDOMIZED:
-        for i in range(config.randomization_runs):
-            _, record, _ = fit_pipeline(config, method, ds, config.train.seed,
-                                        arrangement_seed=config.arrangement_seed + i)
-            records.append(replace(record, run_index=i))
-    else:
-        for i in range(config.training_seeds):
-            _, record, _ = fit_pipeline(config, method, ds, config.train.seed + i)
-            records.append(replace(record, run_index=i))
+    for i in range(config.randomization_runs if randomized else config.training_seeds):
+        train_seed, arrangement_seed = ((config.train.seed, config.arrangement_seed + i)
+                                        if randomized else (config.train.seed + i, 0))
+        _, record, _ = fit_pipeline(config, method, ds, train_seed, arrangement_seed)
+        records.append(replace(record, run_index=i))
     return records
 
 
@@ -481,33 +480,27 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
         else:
             headline = recs[0]
             p_vs = {}
-            significant = None
-            if method in CONTROL_OF:
-                controls = [c for c in CONTROL_OF[method] if c in records]
-                for control in controls:
-                    control_accs = [r.accuracy for r in records[control]]
-                    if len(control_accs) >= 2:
-                        try:
-                            _, p = one_sample_t_greater(control_accs, headline.accuracy)
-                        except ZeroVarianceError:
-                            continue  # degenerate control sample, no verdict
-                        p_vs[control] = p
-                if p_vs:
-                    significant = all(p < 0.05 for p in p_vs.values())
+            for control in CONTROL_OF.get(method, ()):
+                control_accs = [r.accuracy for r in records.get(control, ())]
+                if len(control_accs) >= 2:
+                    try:
+                        _, p_vs[control] = one_sample_t_greater(control_accs, headline.accuracy)
+                    except ZeroVarianceError:
+                        pass  # degenerate control sample, no verdict
+            significant = all(p < 0.05 for p in p_vs.values()) if p_vs else None
             rows.append(ReportRow(
                 method, headline.accuracy, None, headline.cond_notch, None,
                 len(recs), p_vs, significant))
 
-    ranking_p = None
-    ranking_text = None
-    ranked = [m for m in ("sa", "cca", "hva") if m in records and len(records[m]) >= 2]
+    ranking_p = ranking_text = None
+    ranked = [m for m in CONTROL_OF if m in records and len(records[m]) >= 2]
     if len(ranked) >= 2:
         groups = {m: [r.accuracy for r in records[m]] for m in ranked}
         p_matrix, grouping = pairwise_t_bonferroni(groups)
         ranking_p = p_matrix
         ranking_text = grouping.as_text()
 
-    report = ExperimentReport(
+    return ExperimentReport(
         rows=rows,
         records=records,
         config_hash=config.config_hash(),
@@ -516,20 +509,9 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
         ranking_text=ranking_text,
     )
 
-    if "reduced_hva" in records and "hva" in records:
-        report.reduced_rows.append({
-            "reduced_accuracy": records["reduced_hva"][0].accuracy,
-            "original_accuracy": records["hva"][0].accuracy,
-        })
-    if "autoencoder_sa" in records and "sa" in records:
-        report.autoencoder_rows.append({
-            "autoencoder_accuracy": records["autoencoder_sa"][0].accuracy,
-            "sa_accuracy": records["sa"][0].accuracy,
-        })
-    return report
 
-
-def _fmt(value: float | None, stderr: float | None, star: bool = False) -> str:
+def fmt_stat(value: float | None, stderr: float | None = None, star: bool = False) -> str:
+    """A value to 3 decimals, its stderr in parentheses, `*` if starred; n/a if None."""
     if value is None:
         return "n/a"
     text = f"{value:.3f}"
@@ -593,23 +575,18 @@ def emit_report(report: ExperimentReport, out_dir: str | Path,
             star = bool(row.significant)
             title = METHOD_TITLES.get(row.method, row.method)
             lines.append(
-                f"| {title} | {_fmt(row.accuracy_mean, row.accuracy_stderr, star)} "
-                f"| {_fmt(row.notch_mean, row.notch_stderr)} |"
+                f"| {title} | {fmt_stat(row.accuracy_mean, row.accuracy_stderr, star)} "
+                f"| {fmt_stat(row.notch_mean, row.notch_stderr)} |"
             )
         lines.append("")
         lines.append("`*` marks encodings one-sidedly above their randomized control at p < 0.05.")
         if report.ranking_text:
             lines += ["", f"Ranking groups (Bonferroni-adjusted): {report.ranking_text}"]
-        if report.reduced_rows:
-            lines += ["", "## Reduced zero padding", "",
-                      "| Reduced HVA accuracy | Original HVA accuracy |", "| --- | --- |"]
-            for r in report.reduced_rows:
-                lines.append(f"| {r['reduced_accuracy']:.3f} | {r['original_accuracy']:.3f} |")
-        if report.autoencoder_rows:
-            lines += ["", "## Auto-encoder study", "",
-                      "| Auto-encoder accuracy | SA accuracy |", "| --- | --- |"]
-            for r in report.autoencoder_rows:
-                lines.append(f"| {r['autoencoder_accuracy']:.3f} | {r['sa_accuracy']:.3f} |")
+        for study, (baseline, heading, titles) in SIDE_STUDIES.items():
+            if study in report.records and baseline in report.records:
+                accs = (report.records[study][0].accuracy, report.records[baseline][0].accuracy)
+                lines += ["", f"## {heading}", "", "| {} | {} |".format(*titles), "| --- | --- |",
+                          "| {} | {} |".format(*map(fmt_stat, accs))]
         path = out / "report.md"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)

@@ -8,7 +8,7 @@ contiguously and the sections appearing in their fixed statement order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 FUNDAMENTAL_SECTIONS = (
@@ -33,10 +33,14 @@ RATIO_CATEGORIES = (
 
 SECTION_LABELS = {"fundamental": FUNDAMENTAL_SECTIONS, "ratio": RATIO_CATEGORIES}
 
-# The published per-section counts add to 330 while the feature total is
-# 332 everywhere else; core_earnings absorbs the 2-feature difference.
-CANONICAL_FUNDAMENTAL_COUNTS = (78, 45, 75, 33, 49, 52)
-CANONICAL_RATIO_COUNTS = (13, 15, 4, 16, 6, 4, 7, 4)
+# Per-section feature counts of the canonical schema of each kind, in
+# SECTION_LABELS order. The published fundamental counts add to 330 while
+# the feature total is 332 everywhere else; core_earnings absorbs the
+# 2-feature difference.
+CANONICAL_COUNTS = {
+    "fundamental": (78, 45, 75, 33, 49, 52),
+    "ratio": (13, 15, 4, 16, 6, 4, 7, 4),
+}
 
 _SECTION_PREFIX = {
     "balance_sheet": "bs",
@@ -142,12 +146,7 @@ def build_schema(kind: str, counts: dict[str, int] | None = None) -> FeatureSche
         raise SchemaError(f"unknown dataset kind {kind!r}")
     order = SECTION_LABELS[kind]
     if counts is None:
-        canonical = (
-            CANONICAL_FUNDAMENTAL_COUNTS
-            if kind == "fundamental"
-            else CANONICAL_RATIO_COUNTS
-        )
-        counts = dict(zip(order, canonical))
+        counts = dict(zip(order, CANONICAL_COUNTS[kind]))
     features = []
     for label in order:
         prefix = _SECTION_PREFIX[label]
@@ -157,7 +156,7 @@ def build_schema(kind: str, counts: dict[str, int] | None = None) -> FeatureSche
 
 
 def fundamental_schema() -> FeatureSchema:
-    """The canonical 332-feature fundamental schema (78/45/75/33/49/50)."""
+    """The canonical 332-feature fundamental schema (78/45/75/33/49/52)."""
     return build_schema("fundamental")
 
 
@@ -193,18 +192,8 @@ class UnknownRatingError(ValueError):
     """Raised for rating strings outside the 24-entry mapping."""
 
 
-@dataclass(frozen=True)
-class RatingScale:
-    """Mapping from agency rating strings to the 12 risk classes."""
-
-    mapping: dict[str, int] = field(default_factory=lambda: dict(_RATING_MAPPING))
-    descriptions: dict[int, str] = field(default_factory=lambda: dict(_DESCRIPTIONS))
-
-    def n_classes(self) -> int:
-        return max(self.mapping.values()) + 1
-
-
-_RATING_MAPPING = {
+# Agency rating strings -> the 12 risk classes (0 best .. 11 worst).
+RATING_TO_CLASS = {
     "AAA": 0,
     "AA+": 0,
     "AA": 1,
@@ -231,21 +220,6 @@ _RATING_MAPPING = {
     "N.M.": 11,
 }
 
-_DESCRIPTIONS = {
-    0: "Prime",
-    1: "High grade",
-    2: "Upper medium grade",
-    3: "Upper medium grade",
-    4: "Upper medium grade",
-    5: "Lower medium grade",
-    6: "Lower medium grade",
-    7: "Lower medium grade",
-    8: "Non-investment grade speculative",
-    9: "Non-investment grade speculative",
-    10: "Highly speculative",
-    11: "Substantial risks or in default",
-}
-
 # One representative rating string per class, used when writing CSV files.
 CLASS_TO_RATING = {
     0: "AAA",
@@ -265,11 +239,9 @@ CLASS_TO_RATING = {
 N_CLASSES = 12
 
 
-def map_rating(raw: str, scale: RatingScale | None = None) -> int:
+def map_rating(raw: str) -> int:
     """Map a rating string to its class index (0 best .. 11 worst)."""
-    scale = scale or RatingScale()
-    key = raw.strip()
     try:
-        return scale.mapping[key]
+        return RATING_TO_CLASS[raw.strip()]
     except KeyError:
         raise UnknownRatingError(f"unknown rating {raw!r}") from None

@@ -176,6 +176,37 @@ def test_config_file_unknown_key_fails_at_config_stage(tmp_path, synth_dir, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"test_year": "2016"}, "test_year must be int, got '2016'"),
+    ({"synthetic": {"n_per_year": "40"}}, "synthetic.n_per_year must be int, got '40'"),
+])
+def test_config_file_value_of_wrong_type_fails_at_config_stage(tmp_path, synth_dir, capsys,
+                                                              bad, message):
+    config = {
+        "data": str(synth_dir / "data.csv"),
+        "schema": str(synth_dir / "schema.csv"),
+        "methods": ["mlp"],
+        "train": {"epochs": 1},
+        **bad,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"[config] {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_parse_error_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{\n  "methods": ["mlp"],\n', encoding="utf-8")  # truncated
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"[config] {cfg_path}: Expecting property name" in err
+    assert "line 3 column 1" in err
+
+
 def test_grid_search_command(tmp_path, synth_dir):
     out = tmp_path / "gs"
     code = run_cli(

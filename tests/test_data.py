@@ -182,6 +182,47 @@ def test_load_csv_reports_bad_cell_location(tmp_path):
         load_csv(path, schema)
 
 
+@pytest.mark.parametrize("cells, message", [
+    ("1,2,inf,4,5,6", "column 7: value inf is not finite"),
+    ("1,2,3,nan,5,6", "column 8: value nan is not finite"),
+    ("1e400,2,3,4,5,6", "column 5: value inf is not finite"),
+    ("1,2,3,4,5,-Infinity", "column 10: value -inf is not finite"),
+])
+def test_load_csv_rejects_non_finite_values_with_location(tmp_path, cells, message):
+    schema = tiny_schema()
+    header = "id,year,quarter,rating," + ",".join(schema.names)
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\na,2015,1,AA+,1,,3,4,5,6\n\nb,2015,2,BB,{cells}\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"data.csv:4: {message}"):
+        load_csv(path, schema)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("b,2015,7,BB", "column 3: quarter 7 outside 1..4"),
+    ("b,2015,2,ZZ", "column 4: unknown rating 'ZZ'"),
+])
+def test_load_csv_rejects_bad_period_or_rating_with_location(tmp_path, meta, message):
+    schema = tiny_schema()
+    header = "id,year,quarter,rating," + ",".join(schema.names)
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\na,2015,1,AA+,1,2,3,4,5,6\n{meta},1,2,3,4,5,6\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"data.csv:3: {message}"):
+        load_csv(path, schema)
+
+
+def test_load_csv_empty_cells_stay_missing(tmp_path):
+    schema = tiny_schema()
+    header = "id,year,quarter,rating," + ",".join(schema.names)
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\na,2015,1,AA+,,,3,,5,\n", encoding="utf-8")
+    values = load_csv(path, schema).values
+    assert np.isnan(values).tolist() == [[True, True, False, True, False, True]]
+    # Missing cells hold the ordinary NaN, not the parser's marker.
+    assert (values.view(np.uint64)[np.isnan(values)] == np.float64(np.nan).view(np.uint64)).all()
+
+
 def test_observation_validation():
     with pytest.raises(DatasetError):
         Observation("a", 2015, 5, np.zeros(6), 0)

@@ -151,6 +151,43 @@ def test_config_from_dict_inverts_to_json(config):
     assert ExperimentConfig.from_dict(json.loads(config.to_json())) == config
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"synthetic": {"n_per_year": "40"}}, "synthetic.n_per_year must be int, got '40'"),
+    ({"data": "d.csv", "test_year": True}, "test_year must be int, got True"),
+    ({"data": "d.csv", "methods": ["mlp", 3]}, "methods must be tuple[str, ...], got ('mlp', 3)"),
+    ({"synthetic": {"years": [2014]}}, "synthetic.years must be tuple[int, int], got (2014,)"),
+    ({"data": "d.csv", "train": {"learning_rate": "0.1"}},
+     "train.learning_rate must be float, got '0.1'"),
+    ({"synthetic": {"section_counts": {"valuation": 2.5}}},
+     "synthetic.section_counts must be dict[str, int] | None, got {'valuation': 2.5}"),
+])
+def test_config_from_dict_rejects_values_of_the_wrong_type(raw, message):
+    with pytest.raises(ExperimentError) as info:
+        ExperimentConfig.from_dict(raw)
+    assert str(info.value) == message
+
+
+def test_config_from_dict_accepts_an_int_for_a_float():
+    config = ExperimentConfig.from_dict({"data": "d.csv", "train": {"learning_rate": 1}})
+    assert config.train.learning_rate == 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    small_spec(n_per_year=24, years=(2015, 2016),
+               section_counts={s: 16 for s in FUNDAMENTAL_SECTIONS}),
+    small_spec(n_per_year=24, years=(2015, 2016), kind="ratio", section_counts=None),
+], ids=["chunky96", "ratio69"])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_layout_input_shape_is_the_training_input_shape(spec, method):
+    ds = generate_synthetic(spec)
+    config = small_config(synthetic=spec, methods=(method,), arrangement_seed=5)
+    pipe, _, _ = experiment._layout(config, method, ds, config.arrangement_seed)
+    _, train_x, train_raw, _ = experiment.prepare_pipeline(
+        config, method, ds, config.train, config.arrangement_seed)
+    assert train_x.shape == (len(train_raw), *pipe.input_shape)
+    assert experiment.classifier_spec(pipe.input_shape).input_shape == pipe.input_shape
+
+
 def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
     """The benchmark's tracer wraps names bound on finimg modules; each must exist."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -388,25 +425,36 @@ def test_emit_report_bytes_are_pinned(tmp_path):
     )
 
 
-def test_reduced_padding_study_rows(dataset):
+def _study_section(heading: str, titles: tuple[str, str], accs: tuple[float, float]) -> str:
+    return (f"\n## {heading}\n\n| {titles[0]} | {titles[1]} |\n| --- | --- |\n"
+            f"| {accs[0]:.3f} | {accs[1]:.3f} |\n")
+
+
+def test_reduced_padding_study_rows(dataset, tmp_path):
     config = small_config(methods=("hva", "reduced_hva"))
     report = run_compare(config, dataset)
     acc = {m: recs[0].accuracy for m, recs in report.records.items()}
-    assert report.reduced_rows == [{"reduced_accuracy": acc["reduced_hva"],
-                                    "original_accuracy": acc["hva"]}]
+    emit_report(report, tmp_path, ("markdown",))
+    text = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert text.endswith(_study_section(
+        "Reduced zero padding", ("Reduced HVA accuracy", "Original HVA accuracy"),
+        (acc["reduced_hva"], acc["hva"])))
     assert 0.0 <= acc["reduced_hva"] <= 1.0
     assert 0.0 <= acc["hva"] <= 1.0
-    assert report.autoencoder_rows == []
+    assert "Auto-encoder study" not in text
 
 
-def test_autoencoder_study_rows(dataset):
+def test_autoencoder_study_rows(dataset, tmp_path):
     config = small_config(methods=("sa", "autoencoder_sa"))
     report = run_compare(config, dataset)
     acc = {m: recs[0].accuracy for m, recs in report.records.items()}
-    assert report.autoencoder_rows == [{"autoencoder_accuracy": acc["autoencoder_sa"],
-                                        "sa_accuracy": acc["sa"]}]
+    emit_report(report, tmp_path, ("markdown",))
+    text = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert text.endswith(_study_section(
+        "Auto-encoder study", ("Auto-encoder accuracy", "SA accuracy"),
+        (acc["autoencoder_sa"], acc["sa"])))
     assert autoencoder_code_dim(config, 66) == 33
-    assert report.reduced_rows == []
+    assert "Reduced zero padding" not in text
 
 
 def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):

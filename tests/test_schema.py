@@ -1,12 +1,11 @@
 import pytest
 
 from finimg.schema import (
-    CANONICAL_FUNDAMENTAL_COUNTS,
-    CANONICAL_RATIO_COUNTS,
+    CANONICAL_COUNTS,
     FUNDAMENTAL_SECTIONS,
+    RATING_TO_CLASS,
     RATIO_CATEGORIES,
     FeatureSchema,
-    RatingScale,
     SchemaError,
     UnknownRatingError,
     build_schema,
@@ -37,11 +36,8 @@ def test_map_rating_unknown():
 
 
 def test_rating_scale_total_and_gapless():
-    scale = RatingScale()
-    assert len(scale.mapping) == 24
-    assert sorted(set(scale.mapping.values())) == list(range(12))
-    assert scale.n_classes() == 12
-    assert set(scale.descriptions) == set(range(12))
+    assert len(RATING_TO_CLASS) == 24
+    assert sorted(set(RATING_TO_CLASS.values())) == list(range(12))
 
 
 def test_map_rating_monotone_with_credit_quality():
@@ -59,7 +55,7 @@ def test_canonical_fundamental_schema():
     schema = fundamental_schema()
     assert len(schema) == 332
     counts = schema.section_counts()
-    assert tuple(counts[s] for s in FUNDAMENTAL_SECTIONS) == CANONICAL_FUNDAMENTAL_COUNTS
+    assert tuple(counts[s] for s in FUNDAMENTAL_SECTIONS) == CANONICAL_COUNTS["fundamental"]
     assert schema.section_order == FUNDAMENTAL_SECTIONS
 
 
@@ -67,7 +63,7 @@ def test_canonical_ratio_schema():
     schema = ratio_schema()
     assert len(schema) == 69
     counts = schema.section_counts()
-    assert tuple(counts[c] for c in RATIO_CATEGORIES) == CANONICAL_RATIO_COUNTS
+    assert tuple(counts[c] for c in RATIO_CATEGORIES) == CANONICAL_COUNTS["ratio"]
 
 
 def test_schema_rejects_duplicate_names():
