@@ -120,7 +120,10 @@ def _experiment_config(args) -> ExperimentConfig:
         if value is not None:
             block, _, name = key.rpartition(".")
             (raw[block] if block else raw)[name] = value
-    return ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict(raw)
+    if config.synthetic is not None:
+        config.synthetic.schema()  # a bad section count fails here, not when generating
+    return config
 
 
 def _cmd_synth(args) -> int:
@@ -129,9 +132,10 @@ def _cmd_synth(args) -> int:
         if args.years is not None:
             given["years"] = _parse_years(args.years)
         spec = SyntheticSpec(**{k: v for k, v in given.items() if v is not None})
-        if args.features_per_section:
+        if args.features_per_section is not None:
             spec = replace(spec, section_counts={
                 label: args.features_per_section for label in SECTION_LABELS[spec.kind]})
+        spec.schema()  # a bad section count fails here, not when generating
         out = Path(args.out or "out")
     with _stage("data"):
         ds = generate_synthetic(spec)

@@ -70,16 +70,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.entity_ids)
 
-    def observations(self):
-        for i in range(len(self)):
-            yield Observation(
-                self.entity_ids[i],
-                int(self.years[i]),
-                int(self.quarters[i]),
-                self.values[i],
-                int(self.labels[i]),
-            )
-
     @classmethod
     def from_observations(cls, schema: FeatureSchema, obs: list[Observation]) -> Dataset:
         values = (

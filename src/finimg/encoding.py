@@ -185,20 +185,18 @@ def arrange(v: np.ndarray, schema: FeatureSchema, spec: ArrangementSpec) -> Imag
         return category_chunk_arrange(v, schema, spec.chunk_dims, spec.chunk_layout)
     if spec.method == "hva":
         return hilbert_arrange(v)
-    return randomize_arrangement(v, schema, spec, spec.seed)
+    return randomize_arrangement(v, schema, spec)
 
 
-def randomize_arrangement(
-    v: np.ndarray, schema: FeatureSchema, spec: ArrangementSpec, seed: int
-) -> ImageGrid:
-    """Seeded randomized controls of the deterministic arrangements.
+def randomize_arrangement(v: np.ndarray, schema: FeatureSchema, spec: ArrangementSpec) -> ImageGrid:
+    """Randomized controls of the deterministic arrangements, seeded by spec.seed.
 
     ra:  one uniform permutation of all features, then sequential packing.
     wcr: an independent uniform permutation inside each section chunk.
     bcr: a uniform permutation of the chunk positions, contents fixed.
     hvr: one uniform permutation of all features, then Hilbert packing.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     d = len(v)
     if spec.method == "ra":
         prov = _sequential_map(d, spec.rows, spec.cols)
@@ -272,14 +270,6 @@ def save_grid(grid: ImageGrid, cells_path: str | Path, provenance_path: str | Pa
         writer = csv.writer(fh, lineterminator="\n")
         for row in grid.provenance:
             writer.writerow([int(x) for x in row])
-
-
-def load_grid(cells_path: str | Path, provenance_path: str | Path) -> ImageGrid:
-    with open(cells_path, newline="", encoding="utf-8") as fh:
-        cells = np.array([[float(x) for x in row] for row in csv.reader(fh)])
-    with open(provenance_path, newline="", encoding="utf-8") as fh:
-        prov = np.array([[int(x) for x in row] for row in csv.reader(fh)], dtype=int)
-    return ImageGrid(cells=cells, provenance=prov)
 
 
 def render_pgm(grid: ImageGrid, path: str | Path) -> None:

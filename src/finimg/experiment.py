@@ -60,9 +60,8 @@ from .nnet import (
     network_arrays,
     network_from_arrays,
     save_arrays,
-    train,
-    with_seed,
 )
+from .nnet.train import train
 from .stats import ZeroVarianceError, one_sample_t_greater, pairwise_t_bonferroni, summarize
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -383,7 +382,7 @@ def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
     Returns the fitted pipeline, the test-set record for this run, and
     the run's arrangement seed (meaningful for randomized methods only).
     """
-    train_config = with_seed(config.train, train_seed)
+    train_config = replace(config.train, seed=train_seed)
     pipe, train_x, train_raw, test_raw = prepare_pipeline(
         config, method, ds, train_config, arrangement_seed)
     pipe.network = train(classifier_spec(pipe.input_shape), train_x, train_raw.labels,

@@ -1,4 +1,4 @@
-"""Accuracy, notch-distance metrics, and precision/recall/F1.
+"""Accuracy, notch-distance metrics, and binary precision/recall/F1.
 
 A notch is the signed difference between predicted and true rating class.
 The expected absolute notch weights each notch by its frequency; the
@@ -36,12 +36,6 @@ class PredictionSet:
 
     def __len__(self) -> int:
         return self.y_true.shape[0]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> PredictionSet:
-        y = np.array([p[0] for p in pairs], dtype=int)
-        yhat = np.array([p[1] for p in pairs], dtype=int)
-        return cls(y, yhat)
 
 
 @dataclass(frozen=True)
@@ -104,24 +98,3 @@ def precision_recall_f1_binary(tp: int, fp: int, fn: int) -> tuple[float, float,
         return 0.0, 0.0, 0.0
     f1 = 2 * precision * recall / (precision + recall)
     return precision, recall, f1
-
-
-def precision_recall_f1_macro(p: PredictionSet) -> tuple[float, float, float]:
-    """Unweighted one-vs-rest averages over classes present in y_true.
-
-    A class that is never predicted contributes precision 0.
-    """
-    _require_nonempty(p)
-    precisions, recalls = [], []
-    for cls in np.unique(p.y_true):
-        truth = p.y_true == cls
-        pred = p.y_pred == cls
-        tp = int((truth & pred).sum())
-        n_pred = int(pred.sum())
-        precisions.append(tp / n_pred if n_pred else 0.0)
-        recalls.append(tp / int(truth.sum()))
-    macro_p = float(np.mean(precisions))
-    macro_r = float(np.mean(recalls))
-    if macro_p + macro_r == 0.0:
-        return 0.0, 0.0, 0.0
-    return macro_p, macro_r, 2 * macro_p * macro_r / (macro_p + macro_r)

@@ -6,17 +6,14 @@ from .builders import (
     build_mlp,
     encoder_layer_count,
 )
-from .layers import ShapeMismatchError, loss_crossentropy, softmax
+from .layers import loss_crossentropy, softmax
 from .network import (
-    LayerSpec,
     Network,
     NetworkSpec,
     SpecError,
-    load_network,
     network_arrays,
     network_from_arrays,
     save_arrays,
-    save_network,
 )
 from .train import (
     DivergenceError,
@@ -27,37 +24,4 @@ from .train import (
     gradient_check,
     grid_search,
     make_optimizer,
-    train,
-    with_seed,
 )
-
-__all__ = [
-    "InputTooSmallError",
-    "build_autoencoder",
-    "build_cnn1d",
-    "build_cnn2d",
-    "build_mlp",
-    "encoder_layer_count",
-    "ShapeMismatchError",
-    "loss_crossentropy",
-    "softmax",
-    "LayerSpec",
-    "Network",
-    "NetworkSpec",
-    "SpecError",
-    "load_network",
-    "network_arrays",
-    "network_from_arrays",
-    "save_arrays",
-    "save_network",
-    "DivergenceError",
-    "GridSearchRow",
-    "TrainConfig",
-    "backward_and_step",
-    "classification_accuracy",
-    "gradient_check",
-    "grid_search",
-    "make_optimizer",
-    "train",
-    "with_seed",
-]

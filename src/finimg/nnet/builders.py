@@ -22,28 +22,30 @@ from .network import (
     softmax_output,
 )
 
+DENSE_UNITS = 128
+DROPOUT_RATE = 0.3
+KERNEL = 3
+
 
 class InputTooSmallError(ValueError):
     """Raised when an input cannot pass through the convolutional stack."""
 
 
-def build_mlp(input_dim: int, hidden: int = 128, dropout_rate: float = 0.3,
-              classes: int = N_CLASSES) -> NetworkSpec:
+def build_mlp(input_dim: int, classes: int = N_CLASSES) -> NetworkSpec:
     """Two dense hidden layers with dropout, then a softmax output."""
     if input_dim < 1:
         raise InputTooSmallError("input dimension must be positive")
     return NetworkSpec(
         input_shape=(input_dim,),
         layers=(
-            dense(hidden), activation(), dropout(dropout_rate),
-            dense(hidden), activation(), dropout(dropout_rate),
+            dense(DENSE_UNITS), activation(), dropout(DROPOUT_RATE),
+            dense(DENSE_UNITS), activation(), dropout(DROPOUT_RATE),
             softmax_output(classes),
         ),
     )
 
 
-def _build_cnn(spatial: tuple[int, ...], filters: tuple[int, int], kernel: int,
-               dense_units: int, classes: int) -> NetworkSpec:
+def _build_cnn(spatial: tuple[int, ...], filters: tuple[int, int]) -> NetworkSpec:
     """Conv stack over one (conv1d) or two (conv2d) spatial axes, then dense head.
 
     Every conv checks its feature map fits the kernel; with kernel 3 that
@@ -52,41 +54,37 @@ def _build_cnn(spatial: tuple[int, ...], filters: tuple[int, int], kernel: int,
     layers: list[LayerSpec] = []
     sizes = spatial
     for f in filters:
-        if min(sizes) < kernel:
+        if min(sizes) < KERNEL:
             raise InputTooSmallError(
                 f"input {'x'.join(map(str, spatial))} too small: feature map "
-                f"{'x'.join(map(str, sizes))} is smaller than kernel {kernel}"
+                f"{'x'.join(map(str, sizes))} is smaller than kernel {KERNEL}"
             )
-        conv = conv1d(f, kernel) if len(sizes) == 1 else conv2d(f, kernel, kernel)
+        conv = conv1d(f, KERNEL) if len(sizes) == 1 else conv2d(f, KERNEL, KERNEL)
         layers += [conv, activation()]
-        sizes = tuple(n - kernel + 1 for n in sizes)
+        sizes = tuple(n - KERNEL + 1 for n in sizes)
         if min(sizes) // 2 >= 1:
             layers.append(maxpool(2))
             sizes = tuple(n // 2 for n in sizes)
     layers += [
         flatten(),
-        dense(dense_units), activation(),
-        dense(dense_units), activation(),
-        softmax_output(classes),
+        dense(DENSE_UNITS), activation(),
+        dense(DENSE_UNITS), activation(),
+        softmax_output(N_CLASSES),
     ]
     return NetworkSpec(input_shape=(1, *spatial), layers=tuple(layers))
 
 
-def build_cnn1d(input_len: int, filters1: int = 64, filters2: int = 32,
-                kernel: int = 3, dense_units: int = 128,
-                classes: int = N_CLASSES) -> NetworkSpec:
+def build_cnn1d(input_len: int, filters1: int = 64, filters2: int = 32) -> NetworkSpec:
     """Two 1D convolutions over the raw feature vector, then dense head."""
-    return _build_cnn((input_len,), (filters1, filters2), kernel, dense_units, classes)
+    return _build_cnn((input_len,), (filters1, filters2))
 
 
-def build_cnn2d(rows: int, cols: int, filters1: int = 64, filters2: int = 32,
-                kernel: int = 3, dense_units: int = 128,
-                classes: int = N_CLASSES) -> NetworkSpec:
+def build_cnn2d(rows: int, cols: int, filters1: int = 64, filters2: int = 32) -> NetworkSpec:
     """Two 2D convolutions over an image grid, then dense head."""
-    return _build_cnn((rows, cols), (filters1, filters2), kernel, dense_units, classes)
+    return _build_cnn((rows, cols), (filters1, filters2))
 
 
-def build_autoencoder(input_dim: int, code_dim: int, hidden: int = 128) -> NetworkSpec:
+def build_autoencoder(input_dim: int, code_dim: int, hidden: int = DENSE_UNITS) -> NetworkSpec:
     """Symmetric encoder/decoder trained on mean-squared reconstruction."""
     if not 1 <= code_dim < input_dim:
         raise SpecError(f"code dimension {code_dim} must be in 1..{input_dim - 1}")

@@ -319,17 +319,3 @@ def network_from_arrays(data, prefix: str = "") -> Network:
             raise SpecError(f"checkpoint parameter {name} shape {stored.shape} != {p.shape}")
         p[...] = stored
     return net
-
-
-def save_network(net: Network, path: str | Path) -> None:
-    """Checkpoint: spec JSON, seed, training history, parameter arrays."""
-    payload = network_arrays(net)
-    payload["history"] = np.array(net.history, dtype=float)
-    save_arrays(path, payload)
-
-
-def load_network(path: str | Path) -> Network:
-    with np.load(path, allow_pickle=False) as data:
-        net = network_from_arrays(data)
-        net.history = [float(x) for x in data["history"]]
-    return net

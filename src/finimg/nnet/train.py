@@ -7,7 +7,7 @@ data, config) triple reproduces parameters bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,7 +186,3 @@ def grid_search(builder, neuron_grid, train_xy, val_xy, config: TrainConfig):
         raise DivergenceError("every grid cell failed to train")
     best = max(scored, key=lambda r: (r.val_accuracy, -r.parameter_count))
     return (best.neurons1, best.neurons2), rows
-
-
-def with_seed(config: TrainConfig, seed: int) -> TrainConfig:
-    return replace(config, seed=seed)

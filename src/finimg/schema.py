@@ -139,30 +139,28 @@ class FeatureSchema:
 def build_schema(kind: str, counts: dict[str, int] | None = None) -> FeatureSchema:
     """Build a schema with generated feature names.
 
-    counts maps section label to feature count; defaults to the canonical
-    332-feature fundamental or 69-feature ratio layout.
+    counts maps every section label of kind, and nothing else, to a
+    non-negative feature count; it defaults to the canonical 332-feature
+    fundamental or 69-feature ratio layout.
     """
     if kind not in SECTION_LABELS:
         raise SchemaError(f"unknown dataset kind {kind!r}")
     order = SECTION_LABELS[kind]
     if counts is None:
         counts = dict(zip(order, CANONICAL_COUNTS[kind]))
+    for label in counts:
+        if label not in order:
+            raise SchemaError(f"{label!r} is not a section of {kind} data")
     features = []
     for label in order:
+        if label not in counts:
+            raise SchemaError(f"no feature count for section {label!r}")
+        if counts[label] < 0:
+            raise SchemaError(f"section {label!r} has negative feature count {counts[label]}")
         prefix = _SECTION_PREFIX[label]
         for i in range(counts[label]):
             features.append((f"{prefix}_{i + 1:03d}", label))
     return FeatureSchema(tuple(features), kind)
-
-
-def fundamental_schema() -> FeatureSchema:
-    """The canonical 332-feature fundamental schema (78/45/75/33/49/52)."""
-    return build_schema("fundamental")
-
-
-def ratio_schema() -> FeatureSchema:
-    """The canonical 69-feature ratio schema (13/15/4/16/6/4/7/4)."""
-    return build_schema("ratio")
 
 
 def save_schema(schema: FeatureSchema, path: str | Path) -> None:
@@ -174,17 +172,29 @@ def save_schema(schema: FeatureSchema, path: str | Path) -> None:
 
 
 def load_schema(path: str | Path) -> FeatureSchema:
-    """Load a schema CSV (header ``name,section``), inferring the kind."""
+    """Load a schema CSV (header ``name,section``), inferring the kind.
+
+    Errors name the file, and the line for a row without exactly 2 fields.
+    """
+    features = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["name", "section"]:
             raise SchemaError(f"{path}: expected header 'name,section'")
-        features = tuple((row[0], row[1]) for row in reader if row)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise SchemaError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+            features.append((row[0], row[1]))
     sections = {section for _, section in features}
     for kind, labels in SECTION_LABELS.items():
         if sections <= set(labels):
-            return FeatureSchema(features, kind)
+            try:
+                return FeatureSchema(tuple(features), kind)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}: {exc}") from None
     raise SchemaError(f"{path}: section labels match no known dataset kind")
 
 

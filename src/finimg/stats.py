@@ -144,10 +144,6 @@ class RankGrouping:
     ranking: tuple[str, ...]
     groups: tuple[tuple[int, int], ...]
 
-    def labels_in_group(self, g: int) -> tuple[str, ...]:
-        start, stop = self.groups[g]
-        return self.ranking[start : stop + 1]
-
     def as_text(self) -> str:
         parts = []
         for start, stop in self.groups:

@@ -25,7 +25,7 @@ from finimg.metrics import (
 )
 from finimg.nnet import NetworkSpec, TrainConfig, build_cnn2d, gradient_check, grid_search
 from finimg.nnet.network import activation, conv1d, conv2d, dense, dropout, flatten, maxpool, softmax_output
-from finimg.schema import FUNDAMENTAL_SECTIONS, fundamental_schema, ratio_schema
+from finimg.schema import FUNDAMENTAL_SECTIONS, build_schema
 from finimg.stats import pairwise_t_bonferroni, summarize, t_cdf
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
@@ -62,7 +62,7 @@ def test_criterion_2_encoding_provenance():
                   "bcr": (8, 16), "hva": (16, 16), "hvr": (16, 16)},
     }
     checked = 0
-    for schema in (fundamental_schema(), ratio_schema()):
+    for schema in (build_schema("fundamental"), build_schema("ratio")):
         d = len(schema)
         v = np.arange(d, dtype=float) + 1.0
         for method in ("sa", "ra", "cca", "wcr", "bcr", "hva", "hvr"):
@@ -346,12 +346,12 @@ def test_criterion_10_reduced_padding():
                for i in range(24)]
         return Dataset.from_observations(schema, obs)
 
-    ds = with_missing(fundamental_schema())
+    ds = with_missing(build_schema("fundamental"))
     reduced, schema = reduce_features(ds, 256)
     grid = hilbert_arrange(np.where(np.isnan(reduced.values[0]), 0.0, reduced.values[0]))
     ok = len(schema) == 256 and (grid.rows, grid.cols) == (16, 16) and grid.pad_count() == 0
 
-    ds = with_missing(ratio_schema())
+    ds = with_missing(build_schema("ratio"))
     reduced, schema = reduce_features(ds, 64)
     grid = hilbert_arrange(np.where(np.isnan(reduced.values[0]), 0.0, reduced.values[0]))
     ok &= len(schema) == 64 and (grid.rows, grid.cols) == (8, 8) and grid.pad_count() == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finimg.cli import main
+from finimg.schema import FUNDAMENTAL_SECTIONS
 
 
 def run_cli(*argv):
@@ -195,6 +196,37 @@ def test_config_file_value_of_wrong_type_fails_at_config_stage(tmp_path, synth_d
     assert code == 2
     assert f"[config] {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({"balance_sheet": 16}, "no feature count for section 'balance_sheet_supplemental'"),
+    ({**{s: 16 for s in FUNDAMENTAL_SECTIONS}, "core_earnings": -4, "bogus": 3},
+     "'bogus' is not a section of fundamental data"),
+    ({**{s: 16 for s in FUNDAMENTAL_SECTIONS}, "core_earnings": -4},
+     "section 'core_earnings' has negative feature count -4"),
+], ids=["missing", "unknown", "negative"])
+def test_config_file_bad_section_counts_fail_at_config_stage(tmp_path, capsys, counts, message):
+    config = {"synthetic": {"n_per_year": 24, "section_counts": counts},
+              "methods": ["mlp"], "train": {"epochs": 1}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"error [config] {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "schema has no features"),
+    ("-2", "section 'balance_sheet' has negative feature count -2"),
+], ids=["zero", "negative"])
+def test_synth_features_per_section_is_always_applied(tmp_path, capsys, value, message):
+    out = tmp_path / "synth"
+    code = run_cli("synth", "--n-per-year", "12", f"--features-per-section={value}",
+                   "--out", str(out))
+    assert code == 2
+    assert f"error [config] {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_parse_error_names_the_file(tmp_path, capsys):

@@ -12,7 +12,6 @@ from finimg.metrics import (
     expected_abs_notch,
     notch_frequency,
     precision_recall_f1_binary,
-    precision_recall_f1_macro,
 )
 
 
@@ -82,23 +81,6 @@ def test_binary_undefined_denominators():
         precision_recall_f1_binary(tp=0, fp=3, fn=0)
 
 
-def test_macro_perfect():
-    assert precision_recall_f1_macro(pset([0, 1, 2], [0, 1, 2])) == (1.0, 1.0, 1.0)
-
-
-def test_macro_hand_example():
-    p, r, f1 = precision_recall_f1_macro(pset([0, 0, 1, 1], [0, 1, 1, 1]))
-    assert p == pytest.approx(5 / 6)
-    assert r == pytest.approx(3 / 4)
-    assert f1 == pytest.approx(2 * (5 / 6) * (3 / 4) / (5 / 6 + 3 / 4))
-
-
-def test_macro_unpredicted_class_counts_zero_precision():
-    # class 1 never predicted: precision terms are (2/3 for class 0, 0 for 1)
-    p, r, f1 = precision_recall_f1_macro(pset([0, 0, 1], [0, 0, 0]))
-    assert p == pytest.approx((1 * 2 / 3 + 0) / 2)
-
-
 def test_identity_abs_notch_vs_conditional():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -145,7 +127,6 @@ def test_permutation_invariance():
     a, b = pset(y, yhat), pset(y[perm], yhat[perm])
     assert accuracy(a) == accuracy(b)
     assert notch_frequency(a).freq == notch_frequency(b).freq
-    assert precision_recall_f1_macro(a) == precision_recall_f1_macro(b)
 
 
 def test_frequencies_sum_to_one():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finimg.nnet import NetworkSpec, Network, gradient_check, loss_crossentropy, softmax
@@ -10,6 +10,7 @@ from finimg.nnet.layers import (
     Dropout,
     MaxPool1D,
     MaxPool2D,
+    ReLU,
     ShapeMismatchError,
 )
 from finimg.nnet.network import (
@@ -259,3 +260,58 @@ def test_maxpool_matches_loop_reference_with_ties(data, one_d):
         dx = layer.backward(g)
     assert np.array_equal(out, out_ref)
     assert np.array_equal(dx, dx_ref)
+
+
+def kink_margin(net, x):
+    """How near x comes to a ReLU kink or a max-pool tie inside net.
+
+    The smallest |ReLU input| and the smallest gap between the two largest
+    values of a pool window; finite differences are exact only away from both.
+    """
+    margin = np.inf
+    for layer in net.layers:
+        if isinstance(layer, ReLU):
+            margin = min(margin, np.abs(x).min())
+        if isinstance(layer, (MaxPool1D, MaxPool2D)):
+            grid = x if isinstance(layer, MaxPool2D) else x[:, :, None, :]
+            wh = layer.window if isinstance(layer, MaxPool2D) else 1
+            n, c, h, w = grid.shape
+            oh, ow = h // wh, w // layer.window
+            windows = grid[:, :, : oh * wh, : ow * layer.window].reshape(
+                n, c, oh, wh, ow, layer.window).transpose(0, 1, 2, 4, 3, 5)
+            top = np.sort(windows.reshape(n, c, oh, ow, -1), axis=-1)
+            margin = min(margin, (top[..., -1] - top[..., -2]).min())
+        x = layer.forward(x, train=False)
+    return margin
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), one_d=st.booleans())
+def test_conv_pool_stack_gradients_match_finite_differences(data, one_d):
+    # Blocks of conv (valid or same), max pool and ReLU. Pooling before the
+    # ReLU keeps its zeros out of the windows; inputs that still come near
+    # a tie or a kink are drawn away, and ties are left to the loop reference.
+    channels = data.draw(st.integers(1, 3))
+    shape = [data.draw(st.integers(4, 8)) for _ in range(1 if one_d else 2)]
+    input_shape = (channels, *shape)
+    layers = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        padding = data.draw(st.sampled_from(["valid", "same"]))
+        kernel = [data.draw(st.integers(1, min(n, 3))) for n in shape]
+        filters = data.draw(st.integers(1, 3))
+        layers.append(conv1d(filters, *kernel, padding) if one_d
+                      else conv2d(filters, *kernel, padding))
+        if padding == "valid":
+            shape = [n - k + 1 for n, k in zip(shape, kernel)]
+        if min(shape) >= 2:
+            window = data.draw(st.integers(2, min(shape + [3])))
+            layers.append(maxpool(window))
+            shape = [n // window for n in shape]
+        layers.append(activation())
+    spec = NetworkSpec(input_shape, tuple(layers) + (flatten(), softmax_output(3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(2,) + input_shape)
+    y = rng.integers(0, 3, size=2)
+    assume(kink_margin(Network(spec, seed=1), x) > 1e-4)
+    err = gradient_check(spec, x, y, epsilon=1e-5, max_checks_per_param=None, seed=1)
+    assert err < 1e-4

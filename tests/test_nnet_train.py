@@ -15,14 +15,13 @@ from finimg.nnet import (
     classification_accuracy,
     encoder_layer_count,
     grid_search,
-    load_network,
     make_optimizer,
     network_arrays,
     network_from_arrays,
-    save_network,
-    train,
+    save_arrays,
 )
 from finimg.nnet.network import SpecError, dense, softmax_output
+from finimg.nnet.train import train
 
 
 def separable_toy(n=200, seed=0):
@@ -222,10 +221,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     x, y = separable_toy(40)
     net = train(build_mlp(2, classes=2), x, y, TrainConfig(epochs=3, seed=4))
     path = tmp_path / "model.npz"
-    save_network(net, path)
-    back = load_network(path)
+    save_arrays(path, network_arrays(net))
+    with np.load(path, allow_pickle=False) as data:
+        back = network_from_arrays(data)
     assert back.spec == net.spec
-    assert back.history == net.history
     for a, b in zip(net.parameters(), back.parameters()):
         assert a.tobytes() == b.tobytes()
     assert np.array_equal(back.predict(x), net.predict(x))

@@ -9,10 +9,8 @@ from finimg.schema import (
     SchemaError,
     UnknownRatingError,
     build_schema,
-    fundamental_schema,
     load_schema,
     map_rating,
-    ratio_schema,
     save_schema,
 )
 
@@ -52,7 +50,7 @@ def test_map_rating_monotone_with_credit_quality():
 
 
 def test_canonical_fundamental_schema():
-    schema = fundamental_schema()
+    schema = build_schema("fundamental")
     assert len(schema) == 332
     counts = schema.section_counts()
     assert tuple(counts[s] for s in FUNDAMENTAL_SECTIONS) == CANONICAL_COUNTS["fundamental"]
@@ -60,7 +58,7 @@ def test_canonical_fundamental_schema():
 
 
 def test_canonical_ratio_schema():
-    schema = ratio_schema()
+    schema = build_schema("ratio")
     assert len(schema) == 69
     counts = schema.section_counts()
     assert tuple(counts[c] for c in RATIO_CATEGORIES) == CANONICAL_COUNTS["ratio"]
@@ -117,7 +115,48 @@ def test_schema_roundtrip(tmp_path):
 
 
 def test_load_schema_infers_ratio_kind(tmp_path):
-    schema = ratio_schema()
+    schema = build_schema("ratio")
     path = tmp_path / "schema.csv"
     save_schema(schema, path)
     assert load_schema(path).dataset_kind == "ratio"
+
+
+FOUR_EACH = {s: 4 for s in FUNDAMENTAL_SECTIONS}
+
+
+@pytest.mark.parametrize("kind, counts, message", [
+    ("fundamental", {"balance_sheet": 16}, "no feature count for section 'balance_sheet_supplemental'"),
+    ("fundamental", {**FOUR_EACH, "bogus": 3}, "'bogus' is not a section of fundamental data"),
+    ("ratio", FOUR_EACH, "'balance_sheet' is not a section of ratio data"),
+    ("fundamental", {**FOUR_EACH, "core_earnings": -4},
+     "section 'core_earnings' has negative feature count -4"),
+], ids=["missing", "unknown", "other_kind", "negative"])
+def test_build_schema_rejects_bad_counts_naming_the_label(kind, counts, message):
+    with pytest.raises(SchemaError) as info:
+        build_schema(kind, counts)
+    assert str(info.value) == message
+
+
+def test_build_schema_allows_an_empty_section():
+    schema = build_schema("fundamental", {**FOUR_EACH, "special_items": 0})
+    assert len(schema) == 20
+    assert "special_items" not in schema.section_order
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("name,section\nbs_001\n", ":2", "expected 2 fields, got 1"),
+    ("name,section\nbs_001,balance_sheet\n\nbs_002,balance_sheet,x\n", ":4",
+     "expected 2 fields, got 3"),
+    ("name,section\na,balance_sheet\na,balance_sheet\n", "", "feature names are not unique"),
+    ("name,section\na,balance_sheet\nb,special_items\nc,balance_sheet\n", "",
+     "features of one section must be contiguous"),
+    ("name,section\na,balance_sheet\nb,valuation\n", "",
+     "section labels match no known dataset kind"),
+    ("name,section\n", "", "schema has no features"),
+], ids=["one_field", "three_fields", "duplicate", "split_section", "no_kind", "empty"])
+def test_load_schema_errors_name_the_file(tmp_path, text, where, message):
+    path = tmp_path / "schema.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_schema(path)
+    assert str(info.value) == f"{path}{where}: {message}"

@@ -145,7 +145,8 @@ def test_pairwise_identical_groups_merge():
     groups = {"a": base, "b": list(base), "c": list(base)}
     _, grouping = pairwise_t_bonferroni(groups)
     assert grouping.groups == ((0, 2),)
-    assert set(grouping.labels_in_group(0)) == {"a", "b", "c"}
+    start, stop = grouping.groups[0]
+    assert set(grouping.ranking[start : stop + 1]) == {"a", "b", "c"}
 
 
 def test_pairwise_separated_groups_are_singletons():
