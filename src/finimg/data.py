@@ -10,7 +10,7 @@ import csv
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,14 +144,7 @@ def apply_standardizer(ds: Dataset, params: StandardizationParams) -> Dataset:
             f"standardizer for {params.mean.shape[0]} features applied to "
             f"{len(ds.schema)}-feature dataset"
         )
-    return Dataset(
-        schema=ds.schema,
-        entity_ids=ds.entity_ids,
-        years=ds.years,
-        quarters=ds.quarters,
-        values=standardize(ds.values, params),
-        labels=ds.labels,
-    )
+    return replace(ds, values=standardize(ds.values, params))
 
 
 def standardize(values: np.ndarray, params: StandardizationParams) -> np.ndarray:

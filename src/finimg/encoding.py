@@ -1,10 +1,12 @@
 """Arrangements of a 1D feature vector into a 2D image grid.
 
 Seven methods: sequential (SA), category chunks (CCA), Hilbert curve (HVA),
-and their randomized controls (RA, WCR, BCR, HVR). Each method is an index
-map (the provenance) from every cell to its source feature index, with
-ZERO_PAD marking padding cells. grid_tensor is the one gather that images
-values through a map; padded cells hold exactly 0.
+and their randomized controls (RA, WCR, BCR, HVR); CONTROLS relates each
+deterministic method to its controls. Every arrange function returns an
+index map (the provenance): the source feature index of every cell, with
+ZERO_PAD marking padding cells. A map depends on the schema and the seed,
+never on values. grid_tensor is the one gather that images values through
+a map, and image() renders one row; padded cells hold exactly 0.
 
 Randomized methods draw all randomness from an explicit seed through
 numpy's default PCG64 generator, so a published seed reproduces a grid.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +26,14 @@ from .schema import FeatureSchema
 
 ZERO_PAD = -1
 
-RANDOMIZED_METHODS = ("ra", "wcr", "bcr", "hvr")
-DETERMINISTIC_METHODS = ("sa", "cca", "hva")
+# Each deterministic arrangement and its randomized controls.
+CONTROLS = {"sa": ("ra",), "cca": ("wcr", "bcr"), "hva": ("hvr",)}
+DETERMINISTIC_METHODS = tuple(CONTROLS)
+RANDOMIZED_METHODS = tuple(m for controls in CONTROLS.values() for m in controls)
 
 
 class CapacityError(ValueError):
-    """Raised when a vector does not fit the requested grid."""
+    """Raised when the features do not fit the requested grid."""
 
 
 class ChunkOverflowError(CapacityError):
@@ -68,12 +72,14 @@ def grid_tensor(values: np.ndarray, provenance: np.ndarray) -> np.ndarray:
     return images
 
 
-def _image(v: np.ndarray, provenance: np.ndarray) -> ImageGrid:
+def image(v: np.ndarray, provenance: np.ndarray) -> ImageGrid:
+    """One row of values imaged through an index map, with the map attached."""
     v = np.asarray(v, dtype=float)
     return ImageGrid(cells=grid_tensor(v[None, :], provenance)[0, 0], provenance=provenance)
 
 
-def _sequential_map(d: int, rows: int, cols: int) -> np.ndarray:
+def sequential_arrange(d: int, rows: int, cols: int) -> np.ndarray:
+    """Row-major packing of d features into rows x cols, padded at the end."""
     if d > rows * cols:
         raise CapacityError(f"{d} features exceed {rows}x{cols} grid")
     prov = np.full(rows * cols, ZERO_PAD, dtype=int)
@@ -81,8 +87,9 @@ def _sequential_map(d: int, rows: int, cols: int) -> np.ndarray:
     return prov.reshape(rows, cols)
 
 
-def _chunk_map(schema: FeatureSchema, chunk_dims: tuple[int, int],
-               chunk_layout: tuple[int, int]) -> np.ndarray:
+def category_chunk_arrange(schema: FeatureSchema, chunk_dims: tuple[int, int],
+                           chunk_layout: tuple[int, int]) -> np.ndarray:
+    """One padded chunk per section, chunks tiled row-major."""
     h, w = chunk_dims
     grid_rows, grid_cols = chunk_layout
     sections = schema.section_order
@@ -107,7 +114,8 @@ def _chunk_map(schema: FeatureSchema, chunk_dims: tuple[int, int],
     return prov
 
 
-def _hilbert_map(d: int) -> np.ndarray:
+def hilbert_arrange(d: int) -> np.ndarray:
+    """Place d features along the minimal-order Hilbert curve, padding the tail."""
     order = min_order(d)
     side = order.side
     prov = np.full((side, side), ZERO_PAD, dtype=int)
@@ -117,29 +125,9 @@ def _hilbert_map(d: int) -> np.ndarray:
     return prov
 
 
-def sequential_arrange(v: np.ndarray, rows: int, cols: int) -> ImageGrid:
-    """Row-major packing of v into rows x cols, zero-padded at the end."""
-    return _image(v, _sequential_map(len(v), rows, cols))
-
-
-def category_chunk_arrange(
-    v: np.ndarray,
-    schema: FeatureSchema,
-    chunk_dims: tuple[int, int],
-    chunk_layout: tuple[int, int],
-) -> ImageGrid:
-    """One zero-padded chunk per section, chunks tiled row-major."""
-    return _image(v, _chunk_map(schema, chunk_dims, chunk_layout))
-
-
-def hilbert_arrange(v: np.ndarray) -> ImageGrid:
-    """Place v along the minimal-order Hilbert curve, padding the tail."""
-    return _image(v, _hilbert_map(len(v)))
-
-
 @dataclass(frozen=True)
 class ArrangementSpec:
-    """How to image a vector: method plus shape parameters.
+    """Which index map to build: method plus shape parameters.
 
     rows/cols apply to sa and ra; chunk_dims/chunk_layout to the chunked
     methods; Hilbert methods take their side from the feature count.
@@ -177,18 +165,18 @@ def default_spec(method: str, schema: FeatureSchema, seed: int = 0) -> Arrangeme
     )
 
 
-def arrange(v: np.ndarray, schema: FeatureSchema, spec: ArrangementSpec) -> ImageGrid:
-    """Dispatch on spec.method; randomized methods use spec.seed."""
+def arrange(schema: FeatureSchema, spec: ArrangementSpec) -> np.ndarray:
+    """The index map of spec.method; randomized methods use spec.seed."""
     if spec.method == "sa":
-        return sequential_arrange(v, spec.rows, spec.cols)
+        return sequential_arrange(len(schema), spec.rows, spec.cols)
     if spec.method == "cca":
-        return category_chunk_arrange(v, schema, spec.chunk_dims, spec.chunk_layout)
+        return category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout)
     if spec.method == "hva":
-        return hilbert_arrange(v)
-    return randomize_arrangement(v, schema, spec)
+        return hilbert_arrange(len(schema))
+    return randomize_arrangement(schema, spec)
 
 
-def randomize_arrangement(v: np.ndarray, schema: FeatureSchema, spec: ArrangementSpec) -> ImageGrid:
+def randomize_arrangement(schema: FeatureSchema, spec: ArrangementSpec) -> np.ndarray:
     """Randomized controls of the deterministic arrangements, seeded by spec.seed.
 
     ra:  one uniform permutation of all features, then sequential packing.
@@ -197,21 +185,20 @@ def randomize_arrangement(v: np.ndarray, schema: FeatureSchema, spec: Arrangemen
     hvr: one uniform permutation of all features, then Hilbert packing.
     """
     rng = np.random.default_rng(spec.seed)
-    d = len(v)
+    d = len(schema)
     if spec.method == "ra":
-        prov = _sequential_map(d, spec.rows, spec.cols)
-        return _image(v, _permute_features(prov, rng.permutation(d)))
+        prov = sequential_arrange(d, spec.rows, spec.cols)
+        return _permute_features(prov, rng.permutation(d))
     if spec.method == "hvr":
-        return _image(v, _permute_features(_hilbert_map(d), rng.permutation(d)))
+        return _permute_features(hilbert_arrange(d), rng.permutation(d))
     if spec.method == "wcr":
         perm = np.arange(d)
-        for label, sl in schema.section_slices().items():
-            idx = np.arange(sl.start, sl.stop)
-            perm[sl] = rng.permutation(idx)
-        prov = _chunk_map(schema, spec.chunk_dims, spec.chunk_layout)
-        return _image(v, _permute_features(prov, perm))
+        for sl in schema.section_slices().values():
+            perm[sl] = rng.permutation(np.arange(sl.start, sl.stop))
+        prov = category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout)
+        return _permute_features(prov, perm)
     if spec.method == "bcr":
-        base = _chunk_map(schema, spec.chunk_dims, spec.chunk_layout)
+        base = category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout)
         n_sections = len(schema.section_order)
         slot_of_section = rng.permutation(n_sections)
         h, w = spec.chunk_dims
@@ -222,7 +209,7 @@ def randomize_arrangement(v: np.ndarray, schema: FeatureSchema, spec: Arrangemen
             s = int(slot_of_section[k])
             r1, c1 = (s // grid_cols) * h, (s % grid_cols) * w
             prov[r1 : r1 + h, c1 : c1 + w] = base[r0 : r0 + h, c0 : c0 + w]
-        return _image(v, prov)
+        return prov
     raise ValueError(f"{spec.method!r} is not a randomized method")
 
 
@@ -233,9 +220,10 @@ def _permute_features(prov: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return prov
 
 
-def reduce_features(ds: Dataset, target: int) -> tuple[Dataset, FeatureSchema]:
+def reduce_features(ds: Dataset, target: int) -> tuple[Dataset, np.ndarray]:
     """Drop the features with the most missing values down to target.
 
+    Returns the reduced dataset and the kept features' positions in ds.
     Ties keep the earlier feature; survivors keep their relative order.
     """
     count = len(ds.schema)
@@ -244,20 +232,9 @@ def reduce_features(ds: Dataset, target: int) -> tuple[Dataset, FeatureSchema]:
     missing = np.isnan(ds.values).sum(axis=0)
     # Drop candidates ordered by (missing desc, schema position desc).
     order = np.lexsort((-np.arange(count), -missing))
-    drop = set(order[: count - target].tolist())
-    keep = [i for i in range(count) if i not in drop]
-    new_schema = FeatureSchema(
-        tuple(ds.schema.features[i] for i in keep), ds.schema.dataset_kind
-    )
-    reduced = Dataset(
-        schema=new_schema,
-        entity_ids=ds.entity_ids,
-        years=ds.years,
-        quarters=ds.quarters,
-        values=ds.values[:, keep],
-        labels=ds.labels,
-    )
-    return reduced, new_schema
+    keep = np.sort(order[count - target :])
+    schema = FeatureSchema(tuple(ds.schema.features[i] for i in keep), ds.schema.dataset_kind)
+    return replace(ds, schema=schema, values=ds.values[:, keep]), keep
 
 
 def save_grid(grid: ImageGrid, cells_path: str | Path, provenance_path: str | Path) -> None:

@@ -33,6 +33,7 @@ from .data import (
     standardize,
 )
 from .encoding import (
+    CONTROLS,
     RANDOMIZED_METHODS,
     arrange,
     default_spec,
@@ -80,7 +81,6 @@ METHOD_TITLES = {
 }
 ALL_METHODS = tuple(METHOD_TITLES)
 RANDOMIZED = RANDOMIZED_METHODS
-CONTROL_OF = {"sa": ("ra",), "cca": ("wcr", "bcr"), "hva": ("hvr",)}
 # Side-study method -> (the method it is compared with, report heading,
 # the two column titles of its report table).
 SIDE_STUDIES = {
@@ -315,21 +315,16 @@ def _layout(config: ExperimentConfig, method: str, ds: Dataset, arrangement_seed
     keep = np.arange(len(ds.schema))
     base = method
     if method == "reduced_hva":
-        original_positions = {name: i for i, name in enumerate(ds.schema.names)}
-        ds, _ = reduce_features(ds, largest_square_target(len(ds.schema)))
-        keep = np.array([original_positions[n] for n in ds.schema.names])
+        ds, keep = reduce_features(ds, largest_square_target(len(ds.schema)))
         base = "hva"
     pipe = FittedPipeline(method=method, keep=keep)
     autoencoder = None
-    # An index map depends only on the feature count, not on the values.
     if method == "autoencoder_sa":
         code_dim = autoencoder_code_dim(config, len(keep))
         autoencoder = build_autoencoder(len(keep), code_dim)
-        pipe.provenance = sequential_arrange(np.zeros(code_dim),
-                                             *_code_grid_shape(code_dim)).provenance
+        pipe.provenance = sequential_arrange(code_dim, *_code_grid_shape(code_dim))
     elif method not in ("mlp", "cnn1d"):
-        spec = default_spec(base, ds.schema, seed=arrangement_seed)
-        pipe.provenance = arrange(np.zeros(len(keep)), ds.schema, spec).provenance
+        pipe.provenance = arrange(ds.schema, default_spec(base, ds.schema, seed=arrangement_seed))
     return pipe, ds, autoencoder
 
 
@@ -479,7 +474,7 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
         else:
             headline = recs[0]
             p_vs = {}
-            for control in CONTROL_OF.get(method, ()):
+            for control in CONTROLS.get(method, ()):
                 control_accs = [r.accuracy for r in records.get(control, ())]
                 if len(control_accs) >= 2:
                     try:
@@ -492,7 +487,7 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
                 len(recs), p_vs, significant))
 
     ranking_p = ranking_text = None
-    ranked = [m for m in CONTROL_OF if m in records and len(records[m]) >= 2]
+    ranked = [m for m in CONTROLS if m in records and len(records[m]) >= 2]
     if len(ranked) >= 2:
         groups = {m: [r.accuracy for r in records[m]] for m in ranked}
         p_matrix, grouping = pairwise_t_bonferroni(groups)

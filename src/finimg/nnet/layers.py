@@ -4,9 +4,9 @@ Shape conventions (batch first): dense layers take (N, D); 2D convolution
 and pooling take (N, C, H, W). The 1D layers take (N, C, L) and are the
 one-row case: they run the 2D kernels on an (N, C, 1, L) view, with a
 (filters, channels, kernel) weight standing for (filters, channels, 1,
-kernel). Convolutions are stride-1 cross-correlations, "valid" by default
-with an optional "same" zero-padding mode. Pooling windows do not overlap
-and floor-truncate.
+kernel). Convolutions are stride-1 "valid" cross-correlations: no padding,
+so each axis shrinks by kernel - 1. Pooling windows do not overlap and
+floor-truncate.
 """
 from __future__ import annotations
 
@@ -121,10 +121,6 @@ class Flatten(Layer):
         return grad.reshape(self._shape)
 
 
-def _pad_amounts(kernel: int) -> tuple[int, int]:
-    return (kernel - 1) // 2, kernel - 1 - (kernel - 1) // 2
-
-
 class _Conv(Layer):
     """One stride-1 im2col cross-correlation over (N, C, H, W) inputs.
 
@@ -132,17 +128,12 @@ class _Conv(Layer):
     equals (c, k), so both layers hand the same operands to the GEMMs.
     """
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, padding: str = "valid"):
+    def __init__(self, weight: np.ndarray, bias: np.ndarray):
         self.weight = weight
         self.bias = bias
-        self.padding = padding
 
     def _correlate(self, x, weight):
         f, c, kh, kw = weight.shape
-        if self.padding == "same":
-            rlo, rhi = _pad_amounts(kh)
-            clo, chi = _pad_amounts(kw)
-            x = np.pad(x, ((0, 0), (0, 0), (rlo, rhi), (clo, chi)))
         _check(x.shape[2] >= kh and x.shape[3] >= kw, self.name,
                f"input {x.shape[2]}x{x.shape[3]} smaller than kernel {kh}x{kw}")
         n, _, h, w = x.shape
@@ -176,12 +167,7 @@ class _Conv(Layer):
             n * h * w, f * kh * kw
         )
         rot = weight[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(f * kh * kw, c)
-        dx = (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
-        if self.padding == "same":
-            rlo, rhi = _pad_amounts(kh)
-            clo, chi = _pad_amounts(kw)
-            dx = dx[:, :, rlo : h - rhi, clo : w - chi]
-        return dx
+        return (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def params(self):
         return [self.weight, self.bias]

@@ -48,14 +48,14 @@ def dense(units: int) -> LayerSpec:
     return LayerSpec("dense", {"units": units})
 
 
-def conv1d(filters: int, kernel: int, padding: str = "valid") -> LayerSpec:
-    return LayerSpec("conv1d", {"filters": filters, "kernel": kernel, "padding": padding})
+def conv1d(filters: int, kernel: int) -> LayerSpec:
+    return LayerSpec("conv1d", {"filters": filters, "kernel": kernel, "padding": "valid"})
 
 
-def conv2d(filters: int, kernel_h: int, kernel_w: int, padding: str = "valid") -> LayerSpec:
+def conv2d(filters: int, kernel_h: int, kernel_w: int) -> LayerSpec:
     return LayerSpec(
         "conv2d",
-        {"filters": filters, "kernel_h": kernel_h, "kernel_w": kernel_w, "padding": padding},
+        {"filters": filters, "kernel_h": kernel_h, "kernel_w": kernel_w, "padding": "valid"},
     )
 
 
@@ -137,9 +137,7 @@ class NetworkSpec:
         )
 
 
-def _conv_len(length: int, kernel: int, padding: str) -> int:
-    if padding == "same":
-        return length
+def _conv_len(length: int, kernel: int) -> int:
     out = length - kernel + 1
     if out < 1:
         raise SpecError(f"kernel {kernel} does not fit input of length {length}")
@@ -160,6 +158,8 @@ _PARAM_LAYERS = {"dense": Dense, "softmax_output": SoftmaxOutput, "conv1d": Conv
 
 def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[int, ...]:
     kind, args = layer.kind, layer.args
+    if kind in ("conv1d", "conv2d") and args.get("padding") != "valid":
+        raise SpecError(f"layer {index} ({kind}): unsupported padding {args.get('padding')!r}")
     try:
         if kind == "dense":
             (d,) = shape
@@ -172,8 +172,7 @@ def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[in
             kernel = _PARAM_SHAPES[kind](shape, args)[0][2:]  # (filters, c, *kernel)
             if len(spatial) != len(kernel):
                 raise ValueError(f"{kind} needs {len(kernel)} spatial axes")
-            return (args["filters"], *(_conv_len(n, k, args["padding"])
-                                       for n, k in zip(spatial, kernel)))
+            return (args["filters"], *(_conv_len(n, k) for n, k in zip(spatial, kernel)))
         if kind == "maxpool":
             c, *spatial = shape
             if len(spatial) not in (1, 2):
@@ -209,8 +208,7 @@ def _materialize(shape: tuple[int, ...], layer: LayerSpec, rng: np.random.Genera
         w_shape, b_shape = _PARAM_SHAPES[kind](shape, args)
         # Every weight element feeds one output unit: fan-in is size / units.
         w = _uniform(rng, math.prod(w_shape) // b_shape[0], w_shape)
-        padding = (args["padding"],) if "padding" in args else ()
-        return _PARAM_LAYERS[kind](w, np.zeros(b_shape), *padding)
+        return _PARAM_LAYERS[kind](w, np.zeros(b_shape))
     if kind == "maxpool":
         return MaxPool1D(args["window"]) if len(shape) == 2 else MaxPool2D(args["window"])
     if kind == "dropout":

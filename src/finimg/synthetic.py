@@ -47,6 +47,7 @@ class SyntheticSpec:
             raise ValueError("factor_strength must be in [0, 1]")
         if self.noise < 0.0:
             raise ValueError("noise must be non-negative")
+        self.schema()  # a bad section count fails here, not when generating
 
     def schema(self) -> FeatureSchema:
         return build_schema(self.kind, self.section_counts)

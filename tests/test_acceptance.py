@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from finimg.data import Dataset, Observation
-from finimg.encoding import ZERO_PAD, arrange, default_spec, hilbert_arrange, reduce_features
+from finimg.encoding import ZERO_PAD, arrange, default_spec, hilbert_arrange, image, reduce_features
 from finimg.experiment import ExperimentConfig, emit_report, grid_tensor, run_compare
 from finimg.hilbert import HilbertOrder, hilbert_d2xy, hilbert_xy2d
 from finimg.metrics import (
@@ -67,7 +67,7 @@ def test_criterion_2_encoding_provenance():
         v = np.arange(d, dtype=float) + 1.0
         for method in ("sa", "ra", "cca", "wcr", "bcr", "hva", "hvr"):
             spec = default_spec(method, schema, seed=3)
-            grid = arrange(v, schema, spec)
+            grid = image(v, arrange(schema, spec))
             assert (grid.rows, grid.cols) == expected_shapes[schema.dataset_kind][method], method
             occupied = grid.provenance[grid.provenance != ZERO_PAD]
             assert sorted(occupied.tolist()) == list(range(d))
@@ -314,14 +314,14 @@ def test_criterion_9_grid_search_structure():
                          factor_strength=0.9, noise=1.0, seed=3)
     ds = generate_synthetic(spec)
     train_mask = ds.years < 2016
-    probe = arrange(np.zeros(len(ds.schema)), ds.schema, default_spec("cca", ds.schema))
+    prov = arrange(ds.schema, default_spec("cca", ds.schema))
     values = np.where(np.isnan(ds.values), 0.0, ds.values)
-    images = grid_tensor(values, probe.provenance)
+    images = grid_tensor(values, prov)
     tx, ty = images[train_mask], ds.labels[train_mask]
     vx, vy = images[~train_mask], ds.labels[~train_mask]
 
     def builder(n1, n2):
-        return build_cnn2d(probe.rows, probe.cols, filters1=n1, filters2=n2)
+        return build_cnn2d(*prov.shape, filters1=n1, filters2=n2)
 
     best, rows = grid_search(builder, [16, 32, 64, 128], (tx, ty), (vx, vy),
                              TrainConfig(epochs=2, batch_size=64, seed=0))
@@ -347,13 +347,13 @@ def test_criterion_10_reduced_padding():
         return Dataset.from_observations(schema, obs)
 
     ds = with_missing(build_schema("fundamental"))
-    reduced, schema = reduce_features(ds, 256)
-    grid = hilbert_arrange(np.where(np.isnan(reduced.values[0]), 0.0, reduced.values[0]))
-    ok = len(schema) == 256 and (grid.rows, grid.cols) == (16, 16) and grid.pad_count() == 0
+    reduced, _ = reduce_features(ds, 256)
+    prov = hilbert_arrange(len(reduced.schema))
+    ok = len(reduced.schema) == 256 and prov.shape == (16, 16) and (prov != ZERO_PAD).all()
 
     ds = with_missing(build_schema("ratio"))
-    reduced, schema = reduce_features(ds, 64)
-    grid = hilbert_arrange(np.where(np.isnan(reduced.values[0]), 0.0, reduced.values[0]))
-    ok &= len(schema) == 64 and (grid.rows, grid.cols) == (8, 8) and grid.pad_count() == 0
+    reduced, _ = reduce_features(ds, 64)
+    prov = hilbert_arrange(len(reduced.schema))
+    ok &= len(reduced.schema) == 64 and prov.shape == (8, 8) and (prov != ZERO_PAD).all()
     report(10, ok, "332->256 gives a 16x16 grid and 69->64 an 8x8 grid, both with "
                    "zero padding cells")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from finimg.encoding import (
     default_spec,
     grid_tensor,
     hilbert_arrange,
+    image,
     randomize_arrangement,
     reduce_features,
     render_pgm,
@@ -37,32 +40,32 @@ def check_provenance(grid, d):
 
 
 def test_sequential_two_by_two():
-    grid = sequential_arrange(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
+    grid = image(np.array([1.0, 2.0, 3.0, 4.0]), sequential_arrange(4, 2, 2))
     assert grid.cells.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert grid.provenance.tolist() == [[0, 1], [2, 3]]
 
 
 def test_sequential_canonical_padding():
-    grid = sequential_arrange(np.arange(332, dtype=float), 18, 27)
+    grid = image(np.arange(332, dtype=float), sequential_arrange(332, 18, 27))
     assert grid.pad_count() == 154
     check_provenance(grid, 332)
 
 
 def test_sequential_empty_vector():
-    grid = sequential_arrange(np.array([]), 2, 3)
+    grid = image(np.array([]), sequential_arrange(0, 2, 3))
     assert grid.pad_count() == 6
     assert (grid.cells == 0.0).all()
 
 
 def test_sequential_capacity_error():
     with pytest.raises(CapacityError):
-        sequential_arrange(np.arange(5, dtype=float), 2, 2)
+        sequential_arrange(5, 2, 2)
 
 
 def test_cca_fundamental_layout():
     schema = build_schema("fundamental")
     v = np.arange(332, dtype=float)
-    grid = category_chunk_arrange(v, schema, (9, 9), (2, 3))
+    grid = image(v, category_chunk_arrange(schema, (9, 9), (2, 3)))
     assert (grid.rows, grid.cols) == (18, 27)
     check_provenance(grid, 332)
     # balance sheet chunk (78 features in 81 cells) has 3 pads
@@ -73,7 +76,7 @@ def test_cca_fundamental_layout():
 
 def test_cca_ratio_layout_59_zeros():
     schema = build_schema("ratio")
-    grid = category_chunk_arrange(np.arange(69, dtype=float), schema, (4, 4), (2, 4))
+    grid = image(np.arange(69, dtype=float), category_chunk_arrange(schema, (4, 4), (2, 4)))
     assert (grid.rows, grid.cols) == (8, 16)
     assert grid.pad_count() == 128 - 69
     check_provenance(grid, 69)
@@ -81,30 +84,30 @@ def test_cca_ratio_layout_59_zeros():
 
 def test_cca_exact_fit_chunk_has_no_pad():
     schema = build_schema("fundamental", {s: 9 for s in FUNDAMENTAL_SECTIONS})
-    grid = category_chunk_arrange(np.arange(54, dtype=float), schema, (3, 3), (2, 3))
+    prov = category_chunk_arrange(schema, (3, 3), (2, 3))
     for k in range(6):
         r0, c0 = (k // 3) * 3, (k % 3) * 3
-        chunk = grid.provenance[r0 : r0 + 3, c0 : c0 + 3]
+        chunk = prov[r0 : r0 + 3, c0 : c0 + 3]
         assert (chunk != ZERO_PAD).all()
 
 
 def test_cca_chunk_overflow_names_section():
     schema = build_schema("fundamental")
     with pytest.raises(ChunkOverflowError, match="balance_sheet"):
-        category_chunk_arrange(np.arange(332, dtype=float), schema, (8, 8), (2, 3))
+        category_chunk_arrange(schema, (8, 8), (2, 3))
 
 
 def test_hilbert_arrange_canonical_sizes():
-    grid = hilbert_arrange(np.arange(332, dtype=float))
+    grid = image(np.arange(332, dtype=float), hilbert_arrange(332))
     assert (grid.rows, grid.cols) == (32, 32)
     check_provenance(grid, 332)
-    grid = hilbert_arrange(np.arange(69, dtype=float))
+    grid = image(np.arange(69, dtype=float), hilbert_arrange(69))
     assert (grid.rows, grid.cols) == (16, 16)
     check_provenance(grid, 69)
 
 
 def test_hilbert_arrange_exact_capacity():
-    grid = hilbert_arrange(np.array([1.0, 2.0, 3.0, 4.0]))
+    grid = image(np.array([1.0, 2.0, 3.0, 4.0]), hilbert_arrange(4))
     assert (grid.rows, grid.cols) == (2, 2)
     assert grid.pad_count() == 0
     # order-1 curve from the lower-left corner
@@ -115,12 +118,11 @@ def test_hilbert_arrange_exact_capacity():
 
 
 def test_hilbert_arrange_follows_curve():
-    v = np.arange(37, dtype=float)
-    grid = hilbert_arrange(v)
+    prov = hilbert_arrange(37)
     order = HilbertOrder(3)
     for i in range(37):
         x, y = hilbert_d2xy(order, i)
-        assert grid.provenance[grid.rows - 1 - y, x] == i
+        assert prov[prov.shape[0] - 1 - y, x] == i
 
 
 def fundamental_probe(per_section=4):
@@ -133,7 +135,7 @@ def fundamental_probe(per_section=4):
 def test_randomized_methods_preserve_values(method):
     schema, v = fundamental_probe()
     spec = default_spec(method, schema, seed=11)
-    grid = arrange(v, schema, spec)
+    grid = image(v, arrange(schema, spec))
     check_provenance(grid, len(v))
     occupied = grid.cells[grid.provenance != ZERO_PAD]
     assert sorted(occupied.tolist()) == sorted(v.tolist())
@@ -143,55 +145,54 @@ def test_randomized_methods_preserve_values(method):
 def test_randomized_methods_deterministic_per_seed(method):
     schema, v = fundamental_probe()
     spec = default_spec(method, schema, seed=123)
-    a = arrange(v, schema, spec)
-    b = arrange(v, schema, spec)
+    a = image(v, arrange(schema, spec))
+    b = image(v, arrange(schema, spec))
     assert np.array_equal(a.cells, b.cells)
     assert np.array_equal(a.provenance, b.provenance)
-    other = arrange(v, schema, default_spec(method, schema, seed=124))
-    assert not np.array_equal(a.provenance, other.provenance)
+    other = arrange(schema, default_spec(method, schema, seed=124))
+    assert not np.array_equal(a.provenance, other)
 
 
 def test_wcr_with_single_feature_chunks_equals_cca():
     schema = build_schema("fundamental", {s: 1 for s in FUNDAMENTAL_SECTIONS})
-    v = np.arange(6, dtype=float)
     spec = ArrangementSpec("wcr", chunk_dims=(1, 1), chunk_layout=(2, 3), seed=9)
-    wcr = randomize_arrangement(v, schema, spec)
-    cca = category_chunk_arrange(v, schema, (1, 1), (2, 3))
-    assert np.array_equal(wcr.provenance, cca.provenance)
+    wcr = randomize_arrangement(schema, spec)
+    cca = category_chunk_arrange(schema, (1, 1), (2, 3))
+    assert np.array_equal(wcr, cca)
 
 
 def test_wcr_keeps_sections_in_their_chunks():
-    schema, v = fundamental_probe()
+    schema, _ = fundamental_probe()
     spec = default_spec("wcr", schema, seed=3)
-    wcr = arrange(v, schema, spec)
-    cca = arrange(v, schema, default_spec("cca", schema))
+    wcr = arrange(schema, spec)
+    cca = arrange(schema, default_spec("cca", schema))
     slices = schema.section_slices()
     h, w = spec.chunk_dims
     for k, label in enumerate(schema.section_order):
         r0 = (k // spec.chunk_layout[1]) * h
         c0 = (k % spec.chunk_layout[1]) * w
-        block = wcr.provenance[r0 : r0 + h, c0 : c0 + w]
+        block = wcr[r0 : r0 + h, c0 : c0 + w]
         got = sorted(block[block != ZERO_PAD].tolist())
         sl = slices[label]
         assert got == list(range(sl.start, sl.stop))
         # pad cells stay in place, only features move
-        base = cca.provenance[r0 : r0 + h, c0 : c0 + w]
+        base = cca[r0 : r0 + h, c0 : c0 + w]
         assert np.array_equal(block == ZERO_PAD, base == ZERO_PAD)
 
 
 def test_bcr_is_a_block_permutation_of_cca():
-    schema, v = fundamental_probe()
+    schema, _ = fundamental_probe()
     spec = default_spec("bcr", schema, seed=21)
-    bcr = arrange(v, schema, spec)
-    cca = arrange(v, schema, default_spec("cca", schema))
+    bcr = arrange(schema, spec)
+    cca = arrange(schema, default_spec("cca", schema))
     h, w = spec.chunk_dims
     grid_cols = spec.chunk_layout[1]
     blocks_cca = []
     blocks_bcr = []
     for k in range(6):
         r0, c0 = (k // grid_cols) * h, (k % grid_cols) * w
-        blocks_cca.append(cca.provenance[r0 : r0 + h, c0 : c0 + w].tolist())
-        blocks_bcr.append(bcr.provenance[r0 : r0 + h, c0 : c0 + w].tolist())
+        blocks_cca.append(cca[r0 : r0 + h, c0 : c0 + w].tolist())
+        blocks_bcr.append(bcr[r0 : r0 + h, c0 : c0 + w].tolist())
     assert blocks_bcr != blocks_cca  # seed 21 actually moves something
     assert sorted(map(str, blocks_bcr)) == sorted(map(str, blocks_cca))
 
@@ -247,24 +248,28 @@ def make_missing_dataset(missing_map, per_section=2):
 
 def test_reduce_features_drops_most_missing():
     ds = make_missing_dataset({3: 5, 7: 4, 1: 2})
-    reduced, schema = reduce_features(ds, 10)
+    reduced, keep = reduce_features(ds, 10)
+    schema = reduced.schema
     dropped = set(ds.schema.names) - set(schema.names)
     assert dropped == {ds.schema.names[3], ds.schema.names[7]}
     survivors = [n for n in ds.schema.names if n in set(schema.names)]
     assert list(schema.names) == survivors  # relative order preserved
     assert reduced.values.shape == (6, 10)
+    assert keep.tolist() == [0, 1, 2, 4, 5, 6, 8, 9, 10, 11]
+    assert np.array_equal(reduced.values, ds.values[:, keep], equal_nan=True)
 
 
 def test_reduce_features_tie_break_drops_last():
     ds = make_missing_dataset({})
-    reduced, schema = reduce_features(ds, 9)
-    assert list(schema.names) == list(ds.schema.names[:9])
+    reduced, keep = reduce_features(ds, 9)
+    assert list(reduced.schema.names) == list(ds.schema.names[:9])
+    assert keep.tolist() == list(range(9))
 
 
 def test_reduce_features_ties_prefer_earlier_kept():
     ds = make_missing_dataset({2: 3, 8: 3, 5: 3})
-    _, schema = reduce_features(ds, 10)
-    dropped = set(ds.schema.names) - set(schema.names)
+    reduced, _ = reduce_features(ds, 10)
+    dropped = set(ds.schema.names) - set(reduced.schema.names)
     # features 5 and 8 dropped; feature 2 kept by the earlier-wins rule
     assert dropped == {ds.schema.names[5], ds.schema.names[8]}
 
@@ -281,16 +286,16 @@ def test_reduced_canonical_hilbert_grids():
     values = rng.normal(size=(4, 332))
     obs = [Observation(f"c{i}", 2015, i + 1, values[i], 0) for i in range(4)]
     ds = Dataset.from_observations(schema, obs)
-    reduced, rschema = reduce_features(ds, 256)
-    assert len(rschema) == 256
-    grid = hilbert_arrange(reduced.values[0])
-    assert (grid.rows, grid.cols) == (16, 16)
-    assert grid.pad_count() == 0
+    reduced, _ = reduce_features(ds, 256)
+    assert len(reduced.schema) == 256
+    prov = hilbert_arrange(len(reduced.schema))
+    assert prov.shape == (16, 16)
+    assert (prov != ZERO_PAD).all()
 
 
 def test_grid_csv_roundtrip(tmp_path):
     schema, v = fundamental_probe()
-    grid = arrange(v, schema, default_spec("cca", schema))
+    grid = image(v, arrange(schema, default_spec("cca", schema)))
     save_grid(grid, tmp_path / "cells.csv", tmp_path / "prov.csv")
     cells = np.loadtxt(tmp_path / "cells.csv", delimiter=",")
     provenance = np.loadtxt(tmp_path / "prov.csv", delimiter=",", dtype=int)
@@ -299,7 +304,7 @@ def test_grid_csv_roundtrip(tmp_path):
 
 
 def test_render_pgm(tmp_path):
-    grid = sequential_arrange(np.array([0.0, 0.5, 1.0, -1.0]), 2, 2)
+    grid = image(np.array([0.0, 0.5, 1.0, -1.0]), sequential_arrange(4, 2, 2))
     path = tmp_path / "grid.pgm"
     render_pgm(grid, path)
     lines = path.read_text().splitlines()
@@ -311,7 +316,7 @@ def test_render_pgm(tmp_path):
 
 
 def test_render_pgm_constant_grid(tmp_path):
-    grid = sequential_arrange(np.zeros(4), 2, 2)
+    grid = image(np.zeros(4), sequential_arrange(4, 2, 2))
     render_pgm(grid, tmp_path / "flat.pgm")
     lines = (tmp_path / "flat.pgm").read_text().splitlines()
     assert all(x == "0" for row in lines[3:] for x in row.split())
@@ -327,8 +332,23 @@ def test_provenance_completeness_random_cases():
         v = rng.normal(size=len(schema))
         for method in ("sa", "cca", "hva", "ra", "wcr", "bcr", "hvr"):
             spec = default_spec(method, schema, seed=int(rng.integers(0, 2**32)))
-            grid = arrange(v, schema, spec)
+            grid = image(v, arrange(schema, spec))
             check_provenance(grid, len(v))
+
+
+INDEX_MAPS_SHA256 = "f85dafa6e305b6726114fd46a376efdc4853715f15abffe820818089fd0b5ea8"
+
+
+def test_index_maps_are_pinned():
+    # Every method's map on both canonical schemas at two seeds, hashed;
+    # a rewrite of the arrangements must keep each map bit for bit.
+    h = hashlib.sha256()
+    for schema in (build_schema("fundamental"), build_schema("ratio")):
+        for method in ("sa", "ra", "cca", "wcr", "bcr", "hva", "hvr"):
+            for seed in (0, 1):
+                prov = arrange(schema, default_spec(method, schema, seed=seed))
+                h.update(method.encode() + prov.astype(np.int64).tobytes())
+    assert h.hexdigest() == INDEX_MAPS_SHA256
 
 
 @st.composite
@@ -346,12 +366,15 @@ def test_gather_matches_arranging_row_by_row(schema, method, seed, n):
     d = len(schema)
     spec = default_spec(method, schema, seed=seed)
     values = np.random.default_rng(seed).normal(size=(n, d))
-    prov = arrange(values[0], schema, spec).provenance
+    prov = arrange(schema, spec)
     # the map is a bijection from occupied cells onto the features
     assert sorted(prov[prov != ZERO_PAD].tolist()) == list(range(d))
     images = grid_tensor(values, prov)
     assert images.shape == (n, 1) + prov.shape
     for i in range(n):
-        grid = arrange(values[i], schema, spec)
+        grid = image(values[i], arrange(schema, spec))
         assert np.array_equal(grid.provenance, prov)
         assert np.array_equal(images[i, 0], grid.cells)
+        # image() places each feature in its cell by an explicit loop
+        for (r, c), f in np.ndenumerate(prov):
+            assert grid.cells[r, c] == (0.0 if f == ZERO_PAD else values[i, f])

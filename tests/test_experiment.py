@@ -90,35 +90,42 @@ SYNTHETIC_CONFIG_JSON = (
     '{"arrangement_seed": 2, "autoencoder_code_dim": 9, "data": null, "methods": '
     '["mlp", "hva", "hvr"], "randomization_runs": 3, "schema": null, "synthetic": '
     '{"factor_strength": 0.9, "kind": "ratio", "n_per_year": 30, "noise": 1.0, '
-    '"section_counts": {"other": 3, "valuation": 2}, "seed": 4, "years": [2014, 2016]}, '
+    '"section_counts": {"capitalization": 1, "efficiency": 1, "financial_soundness": 1, '
+    '"liquidity": 1, "other": 3, "profitability": 1, "solvency": 1, "valuation": 2}, '
+    '"seed": 4, "years": [2014, 2016]}, '
     '"test_year": 2016, "train": {"batch_size": 8, "epochs": 3, "learning_rate": 0.01, '
     '"optimizer": "sgd", "seed": 5}, "training_seeds": 2}'
 )
+
+
+RATIO_COUNTS = {"valuation": 2, "profitability": 1, "capitalization": 1, "financial_soundness": 1,
+                "solvency": 1, "liquidity": 1, "efficiency": 1, "other": 3}
 
 
 def test_config_json_and_hash_are_pinned():
     plain = ExperimentConfig(data="d.csv", schema="s.csv")
     synthetic = ExperimentConfig(
         synthetic=SyntheticSpec(n_per_year=30, years=(2014, 2016), kind="ratio", seed=4,
-                                section_counts={"valuation": 2, "other": 3}),
+                                section_counts=RATIO_COUNTS),
         methods=("mlp", "hva", "hvr"), randomization_runs=3, training_seeds=2,
         train=TrainConfig(learning_rate=0.01, epochs=3, batch_size=8, seed=5, optimizer="sgd"),
         arrangement_seed=2, autoencoder_code_dim=9, output_dir="elsewhere")
     assert plain.to_json() == PLAIN_CONFIG_JSON
     assert plain.config_hash() == "1fddfbccf4fed4d6"
     assert synthetic.to_json() == SYNTHETIC_CONFIG_JSON
-    assert synthetic.config_hash() == "58583cd74dda19e9"
+    assert synthetic.config_hash() == "3193eb93a63947bb"
 
 
 @st.composite
 def configs(draw):
+    kind = draw(st.sampled_from(tuple(SECTION_LABELS)))
     synthetic = draw(st.none() | st.builds(
         SyntheticSpec,
         n_per_year=st.integers(12, 5000),
         years=st.tuples(st.integers(1990, 2010), st.integers(2010, 2030)),
-        kind=st.sampled_from(tuple(SECTION_LABELS)),
-        section_counts=st.none() | st.dictionaries(
-            st.sampled_from(FUNDAMENTAL_SECTIONS), st.integers(1, 90), min_size=1),
+        kind=st.just(kind),
+        section_counts=st.none() | st.fixed_dictionaries(
+            {s: st.integers(1, 90) for s in SECTION_LABELS[kind]}),
         factor_strength=st.floats(0.0, 1.0),
         noise=st.floats(0.0, 10.0),
         seed=st.integers(0, 2**32 - 1),
@@ -201,9 +208,8 @@ def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
 def test_grid_tensor_places_values_and_pads():
     from finimg.encoding import sequential_arrange
 
-    grid = sequential_arrange(np.zeros(3), 2, 2)
     values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    images = grid_tensor(values, grid.provenance)
+    images = grid_tensor(values, sequential_arrange(3, 2, 2))
     assert images.shape == (2, 1, 2, 2)
     assert images[0, 0].tolist() == [[1.0, 2.0], [3.0, 0.0]]
     assert images[1, 0].tolist() == [[4.0, 5.0], [6.0, 0.0]]
@@ -457,16 +463,31 @@ def test_autoencoder_study_rows(dataset, tmp_path):
     assert "Reduced zero padding" not in text
 
 
-def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
+def saved_cca_checkpoint(tmp_path, dataset):
+    """A trained cca pipeline's checkpoint path and its arrays."""
     pipe, _, _ = fit_pipeline(small_config(), "cca", dataset, train_seed=0)
     path = tmp_path / "cca.npz"
     save_pipeline(pipe, path)
     with np.load(path, allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
+        return path, {name: data[name] for name in data.files}
+
+
+def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
+    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
     assert arrays["net_param_0001"].shape == (64,)
     arrays["net_param_0001"] = np.array([0.5])
     save_arrays(path, arrays)
     with pytest.raises(SpecError, match="net_param_0001"):
+        load_pipeline(path)
+
+
+def test_load_pipeline_rejects_unsupported_padding(tmp_path, dataset):
+    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
+    spec_json = str(arrays["net_spec_json"])
+    assert spec_json.count('"padding": "valid"') == 2
+    arrays["net_spec_json"] = np.array(spec_json.replace('"valid"', '"same"', 1))
+    save_arrays(path, arrays)
+    with pytest.raises(SpecError, match=r"layer 0 \(conv2d\): unsupported padding 'same'"):
         load_pipeline(path)
 
 

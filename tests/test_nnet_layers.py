@@ -113,24 +113,13 @@ def test_shape_mismatch_names_layer():
         net.forward(np.zeros((1, 5)))
 
 
-def test_conv_same_padding_keeps_length():
-    spec = NetworkSpec((1, 9), (conv1d(4, 3, "same"), flatten(), softmax_output(2)))
-    assert spec.layer_shapes()[0] == (4, 9)
-    spec2 = NetworkSpec((1, 8, 8), (conv2d(4, 3, 3, "same"), flatten(), softmax_output(2)))
-    assert spec2.layer_shapes()[0] == (4, 8, 8)
-
-
 GRADIENT_CASES = {
     "dense_relu": NetworkSpec((6,), (dense(5), activation(), softmax_output(3))),
     "dense_deep": NetworkSpec((4,), (dense(8), activation(), dense(8), activation(),
                                      softmax_output(12))),
     "conv1d_pool": NetworkSpec((2, 11), (conv1d(4, 3), activation(), maxpool(2),
                                          flatten(), softmax_output(3))),
-    "conv1d_same": NetworkSpec((1, 7), (conv1d(3, 3, "same"), activation(),
-                                        flatten(), softmax_output(3))),
     "conv2d_pool": NetworkSpec((2, 8, 9), (conv2d(4, 3, 3), activation(), maxpool(2),
-                                           flatten(), softmax_output(3))),
-    "conv2d_same": NetworkSpec((1, 6, 6), (conv2d(3, 3, 3, "same"), activation(),
                                            flatten(), softmax_output(3))),
     "mse_autoenc": NetworkSpec((5,), (dense(7), activation(), dense(3), dense(7),
                                       activation(), dense(5)), loss="mse"),
@@ -163,12 +152,9 @@ def test_gradient_check_linear_net_bias_exact():
 # (N, C, H, W); the 1D layers are checked on one-row inputs.
 
 
-def reference_conv(x, w, b, padding, g):
+def reference_conv(x, w, b, g):
     """Output and the gradients of sum(output * g) by explicit windows."""
     f, c, kh, kw = w.shape
-    if padding == "same":
-        lo_h, lo_w = (kh - 1) // 2, (kw - 1) // 2
-        x = np.pad(x, ((0, 0), (0, 0), (lo_h, kh - 1 - lo_h), (lo_w, kw - 1 - lo_w)))
     n, _, h, wid = x.shape
     oh, ow = h - kh + 1, wid - kw + 1
     out = np.zeros((n, f, oh, ow))
@@ -181,8 +167,6 @@ def reference_conv(x, w, b, padding, g):
                 out[:, fi, i, j] = (patch * w[fi]).sum(axis=(1, 2, 3)) + b[fi]
                 dw[fi] += (g[:, fi, i, j][:, None, None, None] * patch).sum(axis=0)
                 dx[:, :, i : i + kh, j : j + kw] += g[:, fi, i, j][:, None, None, None] * w[fi]
-    if padding == "same":
-        dx = dx[:, :, lo_h : lo_h + h - kh + 1, lo_w : lo_w + wid - kw + 1]
     return out, dx, dw, g.sum(axis=(0, 2, 3))
 
 
@@ -209,27 +193,27 @@ CONV_RTOL, CONV_ATOL = 1e-10, 1e-12  # float64; summation order differs
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), one_d=st.booleans(), padding=st.sampled_from(["valid", "same"]))
-def test_conv_matches_loop_reference(data, one_d, padding):
+@given(data=st.data(), one_d=st.booleans())
+def test_conv_matches_loop_reference(data, one_d):
     n, c, f = (data.draw(st.integers(1, 3)) for _ in range(3))
     h = 1 if one_d else data.draw(st.integers(1, 6))
     w = data.draw(st.integers(1, 7))
-    kh = 1 if one_d else data.draw(st.integers(1, h if padding == "valid" else 4))
-    kw = data.draw(st.integers(1, w if padding == "valid" else 4))
+    kh = 1 if one_d else data.draw(st.integers(1, h))
+    kw = data.draw(st.integers(1, w))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(n, c, h, w))
     weight = rng.normal(size=(f, c, kh, kw))
     bias = rng.normal(size=f)
-    g = rng.normal(size=(n, f, h, w) if padding == "same" else (n, f, h - kh + 1, w - kw + 1))
-    out_ref, dx_ref, dw_ref, db_ref = reference_conv(x, weight, bias, padding, g)
+    g = rng.normal(size=(n, f, h - kh + 1, w - kw + 1))
+    out_ref, dx_ref, dw_ref, db_ref = reference_conv(x, weight, bias, g)
     if one_d:
-        layer = Conv1D(weight[:, :, 0, :].copy(), bias, padding)
+        layer = Conv1D(weight[:, :, 0, :].copy(), bias)
         out = layer.forward(x[:, :, 0, :], train=False)[:, :, None, :]
         dx = layer.backward(g[:, :, 0, :])[:, :, None, :]
         dw = layer._dw[:, :, None, :]
         assert layer._dw.shape == (f, c, kw)
     else:
-        layer = Conv2D(weight, bias, padding)
+        layer = Conv2D(weight, bias)
         out = layer.forward(x, train=False)
         dx = layer.backward(g)
         dw = layer._dw
@@ -288,7 +272,7 @@ def kink_margin(net, x):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), one_d=st.booleans())
 def test_conv_pool_stack_gradients_match_finite_differences(data, one_d):
-    # Blocks of conv (valid or same), max pool and ReLU. Pooling before the
+    # Blocks of conv, max pool and ReLU. Pooling before the
     # ReLU keeps its zeros out of the windows; inputs that still come near
     # a tie or a kink are drawn away, and ties are left to the loop reference.
     channels = data.draw(st.integers(1, 3))
@@ -296,13 +280,10 @@ def test_conv_pool_stack_gradients_match_finite_differences(data, one_d):
     input_shape = (channels, *shape)
     layers = []
     for _ in range(data.draw(st.integers(1, 2))):
-        padding = data.draw(st.sampled_from(["valid", "same"]))
         kernel = [data.draw(st.integers(1, min(n, 3))) for n in shape]
         filters = data.draw(st.integers(1, 3))
-        layers.append(conv1d(filters, *kernel, padding) if one_d
-                      else conv2d(filters, *kernel, padding))
-        if padding == "valid":
-            shape = [n - k + 1 for n, k in zip(shape, kernel)]
+        layers.append(conv1d(filters, *kernel) if one_d else conv2d(filters, *kernel))
+        shape = [n - k + 1 for n, k in zip(shape, kernel)]
         if min(shape) >= 2:
             window = data.draw(st.integers(2, min(shape + [3])))
             layers.append(maxpool(window))

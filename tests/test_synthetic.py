@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finimg.data import save_csv
-from finimg.schema import FUNDAMENTAL_SECTIONS, RATIO_CATEGORIES
+from finimg.schema import FUNDAMENTAL_SECTIONS, RATIO_CATEGORIES, SchemaError
 from finimg.synthetic import (
     SyntheticSpec,
     generate_synthetic,
@@ -104,3 +104,5 @@ def test_spec_validation():
         SyntheticSpec(factor_strength=1.5)
     with pytest.raises(ValueError):
         SyntheticSpec(noise=-0.1)
+    with pytest.raises(SchemaError, match="no feature count for section 'profitability'"):
+        SyntheticSpec(kind="ratio", section_counts={"valuation": 2})
