@@ -65,7 +65,10 @@ def _stage(name: str):
 
 def _parse_years(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi or lo)
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise ValueError(f"--years must be first:last (or one year), got {text!r}") from None
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

@@ -65,7 +65,7 @@ class Dataset:
         if self.years.shape != (n,) or self.quarters.shape != (n,) or self.labels.shape != (n,):
             raise DatasetError("metadata arrays do not match observation count")
         if n and (self.labels.min() < 0 or self.labels.max() >= N_CLASSES):
-            raise DatasetError("labels outside 0..11")
+            raise DatasetError(f"labels outside 0..{N_CLASSES - 1}")
 
     def __len__(self) -> int:
         return len(self.entity_ids)

@@ -88,8 +88,10 @@ def sequential_arrange(d: int, rows: int, cols: int) -> np.ndarray:
 
 
 def category_chunk_arrange(schema: FeatureSchema, chunk_dims: tuple[int, int],
-                           chunk_layout: tuple[int, int]) -> np.ndarray:
-    """One padded chunk per section, chunks tiled row-major."""
+                           chunk_layout: tuple[int, int],
+                           slots: np.ndarray | None = None) -> np.ndarray:
+    """One padded chunk per section in row-major chunk slots: section k
+    fills slot slots[k], by default slot k."""
     h, w = chunk_dims
     grid_rows, grid_cols = chunk_layout
     sections = schema.section_order
@@ -108,8 +110,8 @@ def category_chunk_arrange(schema: FeatureSchema, chunk_dims: tuple[int, int],
             )
         chunk = np.full(h * w, ZERO_PAD, dtype=int)
         chunk[:count] = np.arange(sl.start, sl.stop)
-        r0 = (k // grid_cols) * h
-        c0 = (k % grid_cols) * w
+        slot = k if slots is None else int(slots[k])
+        r0, c0 = (slot // grid_cols) * h, (slot % grid_cols) * w
         prov[r0 : r0 + h, c0 : c0 + w] = chunk.reshape(h, w)
     return prov
 
@@ -198,18 +200,8 @@ def randomize_arrangement(schema: FeatureSchema, spec: ArrangementSpec) -> np.nd
         prov = category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout)
         return _permute_features(prov, perm)
     if spec.method == "bcr":
-        base = category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout)
-        n_sections = len(schema.section_order)
-        slot_of_section = rng.permutation(n_sections)
-        h, w = spec.chunk_dims
-        grid_cols = spec.chunk_layout[1]
-        prov = np.full_like(base, ZERO_PAD)
-        for k in range(n_sections):
-            r0, c0 = (k // grid_cols) * h, (k % grid_cols) * w
-            s = int(slot_of_section[k])
-            r1, c1 = (s // grid_cols) * h, (s % grid_cols) * w
-            prov[r1 : r1 + h, c1 : c1 + w] = base[r0 : r0 + h, c0 : c0 + w]
-        return prov
+        return category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout,
+                                      slots=rng.permutation(len(schema.section_order)))
     raise ValueError(f"{spec.method!r} is not a randomized method")
 
 

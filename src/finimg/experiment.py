@@ -50,6 +50,7 @@ from .metrics import (
     notch_frequency,
 )
 from .nnet import (
+    MIN_SIDE,
     Network,
     NetworkSpec,
     TrainConfig,
@@ -156,8 +157,16 @@ class ExperimentConfig:
                 raise ExperimentError(f"unknown method {m!r}")
         if not self.methods:
             raise ExperimentError("no methods selected")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ExperimentError(f"methods lists {', '.join(map(repr, repeated))} more than once")
         if any(m in RANDOMIZED for m in self.methods) and self.randomization_runs < 2:
             raise ExperimentError("randomized methods need randomization_runs >= 2")
+        if any(m not in RANDOMIZED for m in self.methods) and self.training_seeds < 1:
+            raise ExperimentError("deterministic methods need training_seeds >= 1")
+        if self.arrangement_seed < 0:
+            raise ExperimentError(
+                f"arrangement_seed must not be negative, got {self.arrangement_seed}")
         if self.data is None and self.synthetic is None:
             raise ExperimentError("provide a data path or a synthetic spec")
 
@@ -226,18 +235,6 @@ def load_or_generate(config: ExperimentConfig) -> Dataset:
     return generate_synthetic(config.synthetic)
 
 
-def _metrics_record(method: str, run_index: int, arrangement_seed: int | None,
-                    train_seed: int, y_true: np.ndarray, y_pred: np.ndarray) -> RunRecord:
-    pset = PredictionSet(y_true, y_pred)
-    dist = notch_frequency(pset)
-    try:
-        cond = conditional_notch(dist)
-    except AllCorrectError:
-        cond = None
-    return RunRecord(method, run_index, arrangement_seed, train_seed, accuracy(pset),
-                     expected_abs_notch(dist), cond, len(pset))
-
-
 def largest_square_target(d: int) -> int:
     """Largest 4**n not exceeding d."""
     n = 0
@@ -264,8 +261,8 @@ def encode_codes(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def _code_grid_shape(code_dim: int) -> tuple[int, int]:
-    rows = max(8, int(np.sqrt(code_dim)))
-    cols = max(8, -(-code_dim // rows))
+    rows = max(MIN_SIDE, int(np.sqrt(code_dim)))
+    cols = max(MIN_SIDE, -(-code_dim // rows))
     return rows, cols
 
 
@@ -382,8 +379,9 @@ def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
         config, method, ds, train_config, arrangement_seed)
     pipe.network = train(classifier_spec(pipe.input_shape), train_x, train_raw.labels,
                          train_config)
-    record = _metrics_record(method, 0, arrangement_seed if method in RANDOMIZED else None,
-                             train_seed, test_raw.labels, pipe.predict_classes(test_raw))
+    record = evaluate_pipeline(pipe, test_raw)
+    if method in RANDOMIZED:
+        record = replace(record, arrangement_seed=arrangement_seed)
     return pipe, record, arrangement_seed
 
 
@@ -423,8 +421,14 @@ def evaluate_pipeline(pipe: FittedPipeline, ds: Dataset,
         if not mask.any():
             raise ExperimentError(f"no observations in year {test_year}")
         ds = ds.take(mask)
-    pred = pipe.predict_classes(ds)
-    return _metrics_record(pipe.method, 0, None, pipe.network.seed, ds.labels, pred)
+    pset = PredictionSet(ds.labels, pipe.predict_classes(ds))
+    dist = notch_frequency(pset)
+    try:
+        cond = conditional_notch(dist)
+    except AllCorrectError:
+        cond = None
+    return RunRecord(pipe.method, 0, None, pipe.network.seed, accuracy(pset),
+                     expected_abs_notch(dist), cond, len(pset))
 
 
 def run_method(config: ExperimentConfig, method: str, ds: Dataset | None = None) -> list[RunRecord]:

@@ -32,7 +32,7 @@ class PredictionSet:
             raise ValueError("y_true and y_pred must be equal-length vectors")
         for arr in (self.y_true, self.y_pred):
             if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
-                raise ValueError("classes outside 0..11")
+                raise ValueError(f"classes outside 0..{N_CLASSES - 1}")
 
     def __len__(self) -> int:
         return self.y_true.shape[0]

@@ -1,4 +1,5 @@
 from .builders import (
+    MIN_SIDE,
     InputTooSmallError,
     build_autoencoder,
     build_cnn1d,

@@ -25,6 +25,8 @@ from .network import (
 DENSE_UNITS = 128
 DROPOUT_RATE = 0.3
 KERNEL = 3
+# The smallest input side both convolutions fit: (side - KERNEL + 1) // 2 >= KERNEL.
+MIN_SIDE = 3 * KERNEL - 1
 
 
 class InputTooSmallError(ValueError):
@@ -48,8 +50,8 @@ def build_mlp(input_dim: int, classes: int = N_CLASSES) -> NetworkSpec:
 def _build_cnn(spatial: tuple[int, ...], filters: tuple[int, int]) -> NetworkSpec:
     """Conv stack over one (conv1d) or two (conv2d) spatial axes, then dense head.
 
-    Every conv checks its feature map fits the kernel; with kernel 3 that
-    needs inputs of at least 8 on each axis.
+    Every conv checks its feature map fits the kernel; that needs inputs of
+    at least MIN_SIDE on each axis.
     """
     layers: list[LayerSpec] = []
     sizes = spatial

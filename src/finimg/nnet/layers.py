@@ -45,21 +45,21 @@ class Layer:
         return []
 
 
-class Dense(Layer):
-    name = "dense"
+class _Weighted(Layer):
+    """A layer with one weight and one bias, and their gradients. _affine and
+    _affine_backward are the (N, D) @ (D, U) step of the two dense kinds."""
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
         self.weight = weight
         self.bias = bias
-        self._x = None
 
-    def forward(self, x, train, rng=None):
+    def _affine(self, x):
         _check(x.ndim == 2 and x.shape[1] == self.weight.shape[0], self.name,
                f"expected (N, {self.weight.shape[0]}), got {x.shape}")
         self._x = x
         return x @ self.weight + self.bias
 
-    def backward(self, grad):
+    def _affine_backward(self, grad):
         self._dw = self._x.T @ grad
         self._db = grad.sum(axis=0)
         if not self.needs_input_grad:
@@ -71,6 +71,16 @@ class Dense(Layer):
 
     def grads(self):
         return [self._dw, self._db]
+
+
+class Dense(_Weighted):
+    name = "dense"
+
+    def forward(self, x, train, rng=None):
+        return self._affine(x)
+
+    def backward(self, grad):
+        return self._affine_backward(grad)
 
 
 class ReLU(Layer):
@@ -121,16 +131,12 @@ class Flatten(Layer):
         return grad.reshape(self._shape)
 
 
-class _Conv(Layer):
+class _Conv(_Weighted):
     """One stride-1 im2col cross-correlation over (N, C, H, W) inputs.
 
     Conv1D runs it on (N, C, 1, L) views; the column order (c, 1, k)
     equals (c, k), so both layers hand the same operands to the GEMMs.
     """
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        self.weight = weight
-        self.bias = bias
 
     def _correlate(self, x, weight):
         f, c, kh, kw = weight.shape
@@ -168,12 +174,6 @@ class _Conv(Layer):
         )
         rot = weight[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(f * kh * kw, c)
         return (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self._dw, self._db]
 
 
 class Conv1D(_Conv):
@@ -269,20 +269,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-class SoftmaxOutput(Layer):
+class SoftmaxOutput(_Weighted):
     """Final dense projection to class logits followed by softmax."""
 
     name = "softmax_output"
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        self.weight = weight
-        self.bias = bias
-
     def forward(self, x, train, rng=None):
-        _check(x.ndim == 2 and x.shape[1] == self.weight.shape[0], self.name,
-               f"expected (N, {self.weight.shape[0]}), got {x.shape}")
-        self._x = x
-        self._probs = softmax(x @ self.weight + self.bias)
+        self._probs = softmax(self._affine(x))
         return self._probs
 
     def backward_from_labels(self, labels: np.ndarray) -> np.ndarray:
@@ -291,18 +284,10 @@ class SoftmaxOutput(Layer):
         dlogits = self._probs.copy()
         dlogits[np.arange(n), labels] -= 1.0
         dlogits /= n
-        self._dw = self._x.T @ dlogits
-        self._db = dlogits.sum(axis=0)
-        return dlogits @ self.weight.T
+        return self._affine_backward(dlogits)
 
     def backward(self, grad):
         raise NotImplementedError("use backward_from_labels on the output layer")
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self._dw, self._db]
 
 
 CROSS_ENTROPY_EPS = 1e-12

@@ -98,24 +98,20 @@ class NetworkSpec:
 
     def layer_shapes(self) -> list[tuple[int, ...]]:
         """Output shape after each layer; raises SpecError on mismatch."""
-        shape = self.input_shape
-        out = []
+        shapes = [self.input_shape]
         for i, layer in enumerate(self.layers):
-            shape = _propagate(shape, layer, i)
-            out.append(shape)
-        return out
+            shapes.append(_propagate(shapes[-1], layer, i))
+        return shapes[1:]
 
     def output_shape(self) -> tuple[int, ...]:
         shapes = self.layer_shapes()
         return shapes[-1] if shapes else self.input_shape
 
     def parameter_count(self) -> int:
-        total = 0
-        shape = self.input_shape
-        for i, layer in enumerate(self.layers):
-            total += _param_count(shape, layer)
-            shape = _propagate(shape, layer, i)
-        return total
+        inputs = (self.input_shape, *self.layer_shapes())
+        return sum(math.prod(s) for shape, layer in zip(inputs, self.layers)
+                   if layer.kind in _PARAM_SHAPES
+                   for s in _PARAM_SHAPES[layer.kind](shape, layer.args))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -191,12 +187,6 @@ def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[in
     raise SpecError(f"layer {index}: unknown kind {kind!r}")
 
 
-def _param_count(shape: tuple[int, ...], layer: LayerSpec) -> int:
-    if layer.kind not in _PARAM_SHAPES:
-        return 0
-    return sum(math.prod(s) for s in _PARAM_SHAPES[layer.kind](shape, layer.args))
-
-
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -229,11 +219,9 @@ class Network:
         self.spec = spec
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.layers: list[Layer] = []
-        shape = spec.input_shape
-        for i, layer_spec in enumerate(spec.layers):
-            self.layers.append(_materialize(shape, layer_spec, rng))
-            shape = _propagate(shape, layer_spec, i)
+        inputs = (spec.input_shape, *spec.layer_shapes())
+        self.layers: list[Layer] = [_materialize(shape, layer_spec, rng)
+                                    for shape, layer_spec in zip(inputs, spec.layers)]
         if self.layers:
             self.layers[0].needs_input_grad = False
         self.history: list[float] = []

@@ -33,6 +33,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch size >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 class _Adam:

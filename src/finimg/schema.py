@@ -11,53 +11,34 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-FUNDAMENTAL_SECTIONS = (
-    "balance_sheet",
-    "balance_sheet_supplemental",
-    "income_statement",
-    "income_statement_supplemental",
-    "special_items",
-    "core_earnings",
-)
-
-RATIO_CATEGORIES = (
-    "valuation",
-    "profitability",
-    "capitalization",
-    "financial_soundness",
-    "solvency",
-    "liquidity",
-    "efficiency",
-    "other",
-)
-
-SECTION_LABELS = {"fundamental": FUNDAMENTAL_SECTIONS, "ratio": RATIO_CATEGORIES}
-
-# Per-section feature counts of the canonical schema of each kind, in
-# SECTION_LABELS order. The published fundamental counts add to 330 while
-# the feature total is 332 everywhere else; core_earnings absorbs the
-# 2-feature difference.
-CANONICAL_COUNTS = {
-    "fundamental": (78, 45, 75, 33, 49, 52),
-    "ratio": (13, 15, 4, 16, 6, 4, 7, 4),
+# Each kind's sections in canonical statement order, one row per section:
+# (label, feature-name prefix, feature count of the canonical schema). The
+# published fundamental counts add to 330 while the feature total is 332
+# everywhere else; core_earnings absorbs the 2-feature difference.
+SECTION_TABLE = {
+    "fundamental": (
+        ("balance_sheet", "bs", 78),
+        ("balance_sheet_supplemental", "bss", 45),
+        ("income_statement", "is", 75),
+        ("income_statement_supplemental", "iss", 33),
+        ("special_items", "spi", 49),
+        ("core_earnings", "ce", 52),
+    ),
+    "ratio": (
+        ("valuation", "val", 13),
+        ("profitability", "prof", 15),
+        ("capitalization", "cap", 4),
+        ("financial_soundness", "fs", 16),
+        ("solvency", "solv", 6),
+        ("liquidity", "liq", 4),
+        ("efficiency", "eff", 7),
+        ("other", "oth", 4),
+    ),
 }
-
-_SECTION_PREFIX = {
-    "balance_sheet": "bs",
-    "balance_sheet_supplemental": "bss",
-    "income_statement": "is",
-    "income_statement_supplemental": "iss",
-    "special_items": "spi",
-    "core_earnings": "ce",
-    "valuation": "val",
-    "profitability": "prof",
-    "capitalization": "cap",
-    "financial_soundness": "fs",
-    "solvency": "solv",
-    "liquidity": "liq",
-    "efficiency": "eff",
-    "other": "oth",
-}
+SECTION_LABELS = {kind: tuple(row[0] for row in rows) for kind, rows in SECTION_TABLE.items()}
+CANONICAL_COUNTS = {kind: tuple(row[2] for row in rows) for kind, rows in SECTION_TABLE.items()}
+FUNDAMENTAL_SECTIONS = SECTION_LABELS["fundamental"]
+RATIO_CATEGORIES = SECTION_LABELS["ratio"]
 
 
 class SchemaError(ValueError):
@@ -143,23 +124,21 @@ def build_schema(kind: str, counts: dict[str, int] | None = None) -> FeatureSche
     non-negative feature count; it defaults to the canonical 332-feature
     fundamental or 69-feature ratio layout.
     """
-    if kind not in SECTION_LABELS:
+    if kind not in SECTION_TABLE:
         raise SchemaError(f"unknown dataset kind {kind!r}")
-    order = SECTION_LABELS[kind]
+    rows = SECTION_TABLE[kind]
     if counts is None:
-        counts = dict(zip(order, CANONICAL_COUNTS[kind]))
+        counts = {label: count for label, _, count in rows}
     for label in counts:
-        if label not in order:
+        if label not in SECTION_LABELS[kind]:
             raise SchemaError(f"{label!r} is not a section of {kind} data")
     features = []
-    for label in order:
+    for label, prefix, _ in rows:
         if label not in counts:
             raise SchemaError(f"no feature count for section {label!r}")
         if counts[label] < 0:
             raise SchemaError(f"section {label!r} has negative feature count {counts[label]}")
-        prefix = _SECTION_PREFIX[label]
-        for i in range(counts[label]):
-            features.append((f"{prefix}_{i + 1:03d}", label))
+        features += [(f"{prefix}_{i + 1:03d}", label) for i in range(counts[label])]
     return FeatureSchema(tuple(features), kind)
 
 

@@ -47,6 +47,8 @@ class SyntheticSpec:
             raise ValueError("factor_strength must be in [0, 1]")
         if self.noise < 0.0:
             raise ValueError("noise must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         self.schema()  # a bad section count fails here, not when generating
 
     def schema(self) -> FeatureSchema:

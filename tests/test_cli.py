@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finimg.cli import main
+from finimg.cli import build_parser, main
 from finimg.schema import FUNDAMENTAL_SECTIONS
 
 
@@ -227,6 +230,60 @@ def test_synth_features_per_section_is_always_applied(tmp_path, capsys, value, m
     assert code == 2
     assert f"error [config] {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--training-seeds", "0"), "deterministic methods need training_seeds >= 1"),
+    (("--methods", "cca,wcr,cca"), "methods lists 'cca' more than once"),
+    (("--seed", "-1"), "seed must not be negative, got -1"),
+    (("--arrangement-seed", "-3"), "arrangement_seed must not be negative, got -3"),
+], ids=["training_seeds", "repeated_method", "seed", "arrangement_seed"])
+def test_compare_rejects_bad_protocol_settings_at_config_stage(tmp_path, synth_dir, capsys,
+                                                               flags, message):
+    out = tmp_path / "cmp"
+    code = run_cli(
+        "compare", "--data", str(synth_dir / "data.csv"),
+        "--schema", str(synth_dir / "schema.csv"),
+        "--methods", "cca,wcr", "--runs", "2", "--epochs", "1", *flags, "--out", str(out),
+    )
+    assert code == 2
+    assert f"error [config] {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--seed", "-2"), "seed must not be negative, got -2"),
+    (("--years", "abc"), "--years must be first:last (or one year), got 'abc'"),
+    (("--years", "2014:x"), "--years must be first:last (or one year), got '2014:x'"),
+], ids=["seed", "years", "last_year"])
+def test_synth_rejects_bad_settings_at_config_stage(tmp_path, capsys, flags, message):
+    out = tmp_path / "synth"
+    code = run_cli("synth", "--n-per-year", "12", *flags, "--out", str(out))
+    assert code == 2
+    assert f"error [config] {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def readme_commands() -> list[str]:
+    """Every `finimg ...` command in the README's fenced blocks, with
+    backslash continuations joined and # comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("finimg "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 6
+    parser = build_parser()
+    for command in commands:
+        argv = shlex.split(command)[1:]  # a renamed flag makes argparse exit here
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_config_file_parse_error_names_the_file(tmp_path, capsys):

@@ -71,6 +71,25 @@ def test_config_validation():
         ExperimentConfig(data=None, synthetic=None)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: small_config(methods=("cca", "wcr", "cca")), "methods lists 'cca' more than once"),
+    (lambda: small_config(training_seeds=0), "deterministic methods need training_seeds >= 1"),
+    (lambda: small_config(arrangement_seed=-3), "arrangement_seed must not be negative, got -3"),
+    (lambda: TrainConfig(seed=-1), "seed must not be negative, got -1"),
+    (lambda: small_spec(seed=-2), "seed must not be negative, got -2"),
+], ids=["repeated_method", "no_training_seeds", "arrangement_seed", "train_seed",
+        "synthetic_seed"])
+def test_config_rejects_bad_protocol_settings_naming_the_field(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_training_seeds_are_unused_by_randomized_methods():
+    # Only deterministic methods repeat over training seeds.
+    assert small_config(methods=("wcr", "bcr"), training_seeds=0).training_seeds == 0
+
+
 def test_config_hash_stable_and_sensitive():
     a = small_config()
     b = small_config()

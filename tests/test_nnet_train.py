@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finimg.nnet import (
     DivergenceError,
@@ -86,6 +88,27 @@ def test_mlp_parameter_count_by_shape_arithmetic():
 
     assert build_mlp(332).parameter_count() == expected(332)
     assert build_mlp(69).parameter_count() == expected(69)
+
+
+@st.composite
+def builder_specs(draw):
+    kind = draw(st.sampled_from(["mlp", "cnn1d", "cnn2d", "autoencoder"]))
+    if kind == "mlp":
+        return build_mlp(draw(st.integers(1, 40)))
+    if kind == "autoencoder":
+        d = draw(st.integers(2, 40))
+        return build_autoencoder(d, draw(st.integers(1, d - 1)), hidden=draw(st.integers(1, 32)))
+    filters = {"filters1": draw(st.integers(1, 8)), "filters2": draw(st.integers(1, 8))}
+    if kind == "cnn1d":
+        return build_cnn1d(draw(st.integers(8, 40)), **filters)
+    return build_cnn2d(draw(st.integers(8, 20)), draw(st.integers(8, 20)), **filters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(builder_specs())
+def test_parameter_count_matches_initialized_network(spec):
+    # The counting walk and the initialization walk see the same layer shapes.
+    assert spec.parameter_count() == sum(p.size for p in Network(spec, seed=0).parameters())
 
 
 def test_mlp_inference_repeatable_despite_dropout():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from finimg.schema import (
@@ -112,6 +114,20 @@ def test_schema_roundtrip(tmp_path):
     path = tmp_path / "schema.csv"
     save_schema(schema, path)
     assert load_schema(path) == schema
+
+
+CANONICAL_SCHEMAS_SHA256 = "9ba2ace9807611b8ee57217b06d27b2695b76aa6c818b68834cc1b324cb58df2"
+
+
+def test_canonical_schemas_are_pinned(tmp_path):
+    # Feature names, section labels and their order, as written to disk for
+    # both kinds; a rewrite of the section table must keep every byte.
+    h = hashlib.sha256()
+    for kind in ("fundamental", "ratio"):
+        path = tmp_path / f"{kind}.csv"
+        save_schema(build_schema(kind), path)
+        h.update(kind.encode() + path.read_bytes())
+    assert h.hexdigest() == CANONICAL_SCHEMAS_SHA256
 
 
 def test_load_schema_infers_ratio_kind(tmp_path):
