@@ -114,7 +114,8 @@ def _from_json(cls, raw, where: str = ""):
     """The dataclass a JSON object describes; its keys are exactly fields of cls.
 
     Each value must fit its field's type. Nested dataclasses are JSON
-    objects and tuples are JSON arrays; errors name the dotted key.
+    objects and tuples are JSON arrays; errors name the dotted key, and a
+    nested block's own check names the block.
     """
     if not isinstance(raw, dict):
         raise ExperimentError(f"{where.rstrip('.') or 'config'} must be a JSON object")
@@ -134,7 +135,12 @@ def _from_json(cls, raw, where: str = ""):
             name = tp.__name__ if isinstance(tp, type) else tp
             raise ExperimentError(f"{where}{key} must be {name}, got {value!r}")
         values[key] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        if not where:
+            raise
+        raise ExperimentError(f"{exc} (in {where.rstrip('.')!r})") from exc
 
 
 @dataclass(frozen=True)

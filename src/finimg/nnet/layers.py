@@ -6,7 +6,9 @@ one-row case: they run the 2D kernels on an (N, C, 1, L) view, with a
 (filters, channels, kernel) weight standing for (filters, channels, 1,
 kernel). Convolutions are stride-1 "valid" cross-correlations: no padding,
 so each axis shrinks by kernel - 1. Pooling windows do not overlap and
-floor-truncate.
+floor-truncate. A max pool keeps one boolean mask per window position,
+routes each window's gradient to its first maximum, and writes the input
+gradient through strided slices, one per window position (see _MaxPool).
 """
 from __future__ import annotations
 
@@ -206,8 +208,18 @@ class Conv2D(_Conv):
 class _MaxPool(Layer):
     """One non-overlapping max pool over (N, C, H, W) with a (wh, ww) window.
 
-    The gradient goes to the first maximum of each window. MaxPool1D is
-    the (1, window) case on (N, C, 1, L) views.
+    The forward pass views the input as (N, C, OH, wh, OW, ww); splitting
+    axes copies nothing, whatever the strides. Each window position (i, j)
+    is an (N, C, OH, OW) view, and the max is an np.maximum fold over those
+    views, which runs in the input's memory order (a max over the two short
+    window axes is several times slower on C-contiguous input). One boolean
+    mask per position, in row-major order, marks where that position equals
+    the max and no earlier one did, so each window's gradient goes to its
+    first maximum; a window holding NaN pools to NaN and passes none. The
+    backward pass writes np.where(mask, grad, 0) into the strided slice
+    dx[:, :, i::wh, j::ww] of one zeroed dx; rows and columns past the last
+    whole window get zeros. MaxPool1D is the (1, window) case on
+    (N, C, 1, L) views.
     """
 
     def __init__(self, window: int):
@@ -218,26 +230,25 @@ class _MaxPool(Layer):
         oh, ow = h // wh, w // ww
         _check(oh > 0 and ow > 0, self.name,
                f"window {wh}x{ww} larger than input {h}x{w}")
-        xr = (
-            x[:, :, : oh * wh, : ow * ww]
-            .reshape(n, c, oh, wh, ow, ww)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh, ow, wh * ww)
-        )
-        self._idx = xr.argmax(axis=-1)
+        xr = x[:, :, : oh * wh, : ow * ww].reshape(n, c, oh, wh, ow, ww)
+        cells = [xr[:, :, :, i, :, j] for i, j in np.ndindex(wh, ww)]
+        out = np.copy(cells[0])  # keeps the input's memory order
+        for cell in cells[1:]:
+            np.maximum(out, cell, out=out)
+        free = np.ones_like(out, dtype=bool)
+        self._masks = []
+        for cell in cells:
+            m = (cell == out) & free
+            free &= ~m
+            self._masks.append(m)
         self._in_hw = (h, w)
-        return np.take_along_axis(xr, self._idx[..., None], axis=-1)[..., 0]
+        return out
 
     def _pool_backward(self, grad, wh, ww):
         n, c, oh, ow = grad.shape
-        h, w = self._in_hw
-        dxr = np.zeros((n, c, oh, ow, wh * ww))
-        np.put_along_axis(dxr, self._idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros((n, c, h, w))
-        dx[:, :, : oh * wh, : ow * ww] = (
-            dxr.reshape(n, c, oh, ow, wh, ww).transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh * wh, ow * ww)
-        )
+        dx = np.zeros((n, c, *self._in_hw))
+        for (i, j), m in zip(np.ndindex(wh, ww), self._masks):
+            dx[:, :, i : oh * wh : wh, j : ow * ww : ww] = np.where(m, grad, 0.0)
         return dx
 
 

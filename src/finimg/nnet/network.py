@@ -213,7 +213,17 @@ def _materialize(shape: tuple[int, ...], layer: LayerSpec, rng: np.random.Genera
 
 
 class Network:
-    """A materialized NetworkSpec: layers with live parameters."""
+    """A materialized NetworkSpec: layers with live parameters.
+
+    The layers run in spec order, except that each ReLU directly followed
+    by a max pool runs after it, on the pooled map (a quarter of the
+    elements for a 2x2 window). The two commute exactly for every input
+    that is not NaN. Forward: ReLU is monotone, so the max of the ReLUs is
+    the ReLU of the max. Backward: a window whose max is positive sends
+    its gradient to the same first maximum either way, and a window whose
+    max is not positive gets zeros either way. The spec, its JSON and the
+    parameter order do not change.
+    """
 
     def __init__(self, spec: NetworkSpec, seed: int):
         self.spec = spec
@@ -222,6 +232,10 @@ class Network:
         inputs = (spec.input_shape, *spec.layer_shapes())
         self.layers: list[Layer] = [_materialize(shape, layer_spec, rng)
                                     for shape, layer_spec in zip(inputs, spec.layers)]
+        for i in range(len(self.layers) - 1):
+            relu, pool = self.layers[i : i + 2]
+            if isinstance(relu, ReLU) and isinstance(pool, (MaxPool1D, MaxPool2D)):
+                self.layers[i : i + 2] = pool, relu
         if self.layers:
             self.layers[0].needs_input_grad = False
         self.history: list[float] = []

@@ -85,6 +85,16 @@ def test_config_rejects_bad_protocol_settings_naming_the_field(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"synthetic": {"seed": -2}}, "seed must not be negative, got -2 (in 'synthetic')"),
+    ({"synthetic": {}, "train": {"seed": -2}}, "seed must not be negative, got -2 (in 'train')"),
+], ids=["synthetic", "train"])
+def test_config_errors_of_a_nested_block_name_the_block(raw, message):
+    with pytest.raises(ExperimentError) as info:
+        ExperimentConfig.from_dict(raw)
+    assert str(info.value) == message
+
+
 def test_training_seeds_are_unused_by_randomized_methods():
     # Only deterministic methods repeat over training seeds.
     assert small_config(methods=("wcr", "bcr"), training_seeds=0).training_seeds == 0

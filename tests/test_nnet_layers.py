@@ -3,7 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finimg.nnet import NetworkSpec, Network, gradient_check, loss_crossentropy, softmax
+from finimg.nnet import (
+    Network,
+    NetworkSpec,
+    build_cnn2d,
+    gradient_check,
+    loss_crossentropy,
+    softmax,
+)
 from finimg.nnet.layers import (
     Conv1D,
     Conv2D,
@@ -222,9 +229,26 @@ def test_conv_matches_loop_reference(data, one_d):
         np.testing.assert_allclose(got, want, rtol=CONV_RTOL, atol=CONV_ATOL)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), one_d=st.booleans())
-def test_maxpool_matches_loop_reference_with_ties(data, one_d):
+def with_layout(x, layout):
+    """An array equal to x (N, C, H, W) whose memory is laid out as named."""
+    if layout == "channels_last":  # how a convolution returns its output
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+    if layout == "strided":  # every other element of a larger array
+        big = np.zeros(tuple(2 * n for n in x.shape))
+        view = big[::2, ::2, ::2, ::2]
+        view[...] = x
+        return view
+    if layout == "reversed":  # negative strides on the last axis
+        return x[..., ::-1].copy()[..., ::-1]
+    return x
+
+
+LAYOUTS = ("contiguous", "channels_last", "strided", "reversed")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), one_d=st.booleans(), layout=st.sampled_from(LAYOUTS))
+def test_maxpool_matches_loop_reference_with_ties(data, one_d, layout):
     n, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     window = data.draw(st.integers(1, 3))
     h = 1 if one_d else data.draw(st.integers(window, 7))
@@ -234,6 +258,7 @@ def test_maxpool_matches_loop_reference_with_ties(data, one_d):
     wh = 1 if one_d else window
     g = rng.normal(size=(n, c, h // wh, w // window))
     out_ref, dx_ref = reference_maxpool(x, wh, window, g)
+    x, g = with_layout(x, layout), with_layout(g, layout)
     if one_d:
         layer = MaxPool1D(window)
         out = layer.forward(x[:, :, 0, :], train=False)[:, :, None, :]
@@ -296,3 +321,73 @@ def test_conv_pool_stack_gradients_match_finite_differences(data, one_d):
     assume(kink_margin(Network(spec, seed=1), x) > 1e-4)
     err = gradient_check(spec, x, y, epsilon=1e-5, max_checks_per_param=None, seed=1)
     assert err < 1e-4
+
+
+# The spec kind of each layer whose name differs from it.
+SPEC_KIND = {"relu": "activation", "maxpool1d": "maxpool", "maxpool2d": "maxpool"}
+
+
+def in_spec_order(net):
+    """net's own layer objects in the order its spec lists them."""
+    queues = {}
+    for layer in net.layers:
+        queues.setdefault(SPEC_KIND.get(layer.name, layer.name), []).append(layer)
+    return [queues[layer.kind].pop(0) for layer in net.spec.layers]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), one_d=st.booleans())
+def test_relu_pool_swap_is_exact(data, one_d):
+    # conv -> ReLU -> pool blocks, some with the pool left out as the
+    # builders leave it out on small maps. Integer inputs and weights make
+    # windows tie and put values on the ReLU kink at 0.
+    shape = [data.draw(st.integers(3, 9)) for _ in range(1 if one_d else 2)]
+    input_shape = (data.draw(st.integers(1, 2)), *shape)
+    layers = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        kernel = [data.draw(st.integers(1, min(n, 3))) for n in shape]
+        filters = data.draw(st.integers(1, 3))
+        layers += [conv1d(filters, *kernel) if one_d else conv2d(filters, *kernel), activation()]
+        shape = [n - k + 1 for n, k in zip(shape, kernel)]
+        window = data.draw(st.integers(1, 3))
+        if min(shape) >= window and data.draw(st.booleans()):
+            layers.append(maxpool(window))
+            shape = [n // window for n in shape]
+    spec = NetworkSpec(input_shape, tuple(layers) + (
+        flatten(), dense(4), activation(), softmax_output(3)))
+    net = Network(spec, seed=0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for p in net.parameters():
+        p[...] = rng.integers(-2, 3, size=p.shape)
+    x = rng.integers(-2, 3, size=(3,) + input_shape).astype(float)
+    y = rng.integers(0, 3, size=3)
+
+    out = net.forward(x).copy()
+    net.loss_and_grad(x, y, train=False)
+    grads = [g.copy() for g in net.gradients()]
+
+    ordered = in_spec_order(net)
+    assert (ordered != net.layers) == any(l.kind == "maxpool" for l in spec.layers)
+    ref = x
+    for layer in ordered:
+        ref = layer.forward(ref, train=False)
+    grad = ordered[-1].backward_from_labels(y)
+    for layer in reversed(ordered[:-1]):
+        grad = layer.backward(grad)
+    assert np.array_equal(out, ref)
+    ref_grads = [g for layer in ordered for g in layer.grads()]
+    assert len(grads) == len(ref_grads)
+    for got, want in zip(grads, ref_grads):
+        assert np.array_equal(got, want)
+
+
+def test_network_runs_pool_before_relu_without_touching_the_spec():
+    spec = build_cnn2d(8, 16)  # the second pool is skipped on the 1x5 map
+    before = spec.to_json()
+    net = Network(spec, seed=0)
+    assert spec.to_json() == before
+    assert [l.kind for l in spec.layers[:5]] == [
+        "conv2d", "activation", "maxpool", "conv2d", "activation"]
+    assert [l.name for l in net.layers] == [
+        "conv2d", "maxpool2d", "relu", "conv2d", "relu", "flatten",
+        "dense", "relu", "dense", "relu", "softmax_output"]
