@@ -28,8 +28,10 @@ from .encoding import (
 )
 from .experiment import (
     ALL_METHODS,
+    REPORT_FORMATS,
     ExperimentConfig,
     RunRecord,
+    check_report_formats,
     classifier_spec,
     emit_report,
     evaluate_pipeline,
@@ -207,7 +209,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     with _stage("config"):
         config = _experiment_config(args)
-        formats = tuple(args.format.split(",")) if args.format else ("csv", "markdown")
+        formats = tuple(args.format.split(",")) if args.format else REPORT_FORMATS
+        check_report_formats(formats)
     with _stage("data"):
         ds = load_or_generate(config)
     with _stage("train"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -212,21 +212,16 @@ def _permute_features(prov: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return prov
 
 
-def reduce_features(ds: Dataset, target: int) -> tuple[Dataset, np.ndarray]:
-    """Drop the features with the most missing values down to target.
-
-    Returns the reduced dataset and the kept features' positions in ds.
-    Ties keep the earlier feature; survivors keep their relative order.
-    """
+def reduce_features(ds: Dataset, target: int) -> np.ndarray:
+    """The ascending positions of the target features kept when the ones
+    with the most missing values are dropped; ties keep the earlier one."""
     count = len(ds.schema)
     if target > count:
         raise CapacityError(f"target {target} exceeds feature count {count}")
     missing = np.isnan(ds.values).sum(axis=0)
     # Drop candidates ordered by (missing desc, schema position desc).
     order = np.lexsort((-np.arange(count), -missing))
-    keep = np.sort(order[count - target :])
-    schema = FeatureSchema(tuple(ds.schema.features[i] for i in keep), ds.schema.dataset_kind)
-    return replace(ds, schema=schema, values=ds.values[:, keep]), keep
+    return np.sort(order[count - target :])
 
 
 def save_grid(grid: ImageGrid, cells_path: str | Path, provenance_path: str | Path) -> None:

@@ -6,10 +6,11 @@ CNN; reduced_hva drops missing-heavy features to a square Hilbert grid
 with no padding; autoencoder_sa trains an auto-encoder on the training
 inputs, images the codes sequentially, and classifies those.
 
-Randomized encodings are repeated randomization_runs times with
-arrangement seeds seed+0..runs-1 under one training seed, so run spread
-reflects the arrangement alone. Deterministic encodings repeat over
-training_seeds when sampled distributions are needed for ranking.
+fit_plan lists a protocol's fits. Randomized encodings are repeated
+randomization_runs times with arrangement seeds arrangement_seed+0..runs-1
+under one training seed, so run spread reflects the arrangement alone.
+Deterministic encodings repeat over training seeds train.seed+0..
+training_seeds-1 at arrangement seed 0, when ranking needs samples.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .encoding import (
     arrange,
     default_spec,
     grid_tensor,
+    hilbert_arrange,
     reduce_features,
     sequential_arrange,
 )
@@ -50,6 +52,7 @@ from .metrics import (
     notch_frequency,
 )
 from .nnet import (
+    ENCODER_LAYERS,
     MIN_SIDE,
     Network,
     NetworkSpec,
@@ -58,7 +61,6 @@ from .nnet import (
     build_cnn1d,
     build_cnn2d,
     build_mlp,
-    encoder_layer_count,
     network_arrays,
     network_from_arrays,
     save_arrays,
@@ -89,6 +91,7 @@ SIDE_STUDIES = {
                     ("Reduced HVA accuracy", "Original HVA accuracy")),
     "autoencoder_sa": ("sa", "Auto-encoder study", ("Auto-encoder accuracy", "SA accuracy")),
 }
+REPORT_FORMATS = ("csv", "markdown")
 
 
 class ExperimentError(ValueError):
@@ -258,14 +261,6 @@ def autoencoder_code_dim(config: ExperimentConfig, d: int) -> int:
     return 69 if d > 69 else max(2, d // 2)
 
 
-def encode_codes(net: Network, x: np.ndarray) -> np.ndarray:
-    """Run only the encoder half of a trained auto-encoder."""
-    out = x
-    for layer in net.layers[: encoder_layer_count()]:
-        out = layer.forward(out, train=False)
-    return out
-
-
 def _code_grid_shape(code_dim: int) -> tuple[int, int]:
     rows = max(MIN_SIDE, int(np.sqrt(code_dim)))
     cols = max(MIN_SIDE, -(-code_dim // rows))
@@ -274,9 +269,10 @@ def _code_grid_shape(code_dim: int) -> tuple[int, int]:
 
 @dataclass
 class FittedPipeline:
-    """Everything needed to map raw observations to class predictions."""
+    """Everything needed to map rows of the fitted schema (features) to class predictions."""
 
     method: str
+    features: tuple[str, ...]
     keep: np.ndarray
     standardizer: StandardizationParams | None = None
     network: Network | None = None
@@ -291,56 +287,50 @@ class FittedPipeline:
         return (len(self.keep),) if self.method == "mlp" else (1, len(self.keep))
 
     def transform(self, ds: Dataset) -> np.ndarray:
-        values = ds.values
-        if values.shape[1] != self.keep.shape[0]:
-            values = values[:, self.keep]
-        values = standardize(values, self.standardizer)
-        if self.autoencoder is not None:
-            values = encode_codes(self.autoencoder, values)
+        values = standardize(ds.values, self.standardizer)[:, self.keep]
+        if self.autoencoder is not None:  # its encoder half maps values to codes
+            for layer in self.autoencoder.layers[:ENCODER_LAYERS]:
+                values = layer.forward(values, train=False)
         if self.provenance is None:
             return values.reshape(len(values), *self.input_shape)
         return grid_tensor(values, self.provenance)
 
-    def predict_classes(self, ds: Dataset) -> np.ndarray:
-        return self.network.predict_classes(self.transform(ds))
-
 
 def _layout(config: ExperimentConfig, method: str, ds: Dataset, arrangement_seed: int,
-            ) -> tuple[FittedPipeline, Dataset, NetworkSpec | None]:
+            ) -> tuple[FittedPipeline, NetworkSpec | None]:
     """The part of a method that reads no fitted values.
 
-    Returns the pipeline with its kept features and index map but nothing
-    fitted, the dataset reduced to the kept features, and the
-    auto-encoder architecture (autoencoder_sa only).
+    Returns the pipeline with its feature record, kept features and index
+    map but nothing fitted, and the auto-encoder architecture
+    (autoencoder_sa only).
     """
     if method not in ALL_METHODS:
         raise ExperimentError(f"unknown method {method!r}")
-    keep = np.arange(len(ds.schema))
-    base = method
-    if method == "reduced_hva":
-        ds, keep = reduce_features(ds, largest_square_target(len(ds.schema)))
-        base = "hva"
-    pipe = FittedPipeline(method=method, keep=keep)
+    d = len(ds.schema)
+    pipe = FittedPipeline(method=method, features=ds.schema.names, keep=np.arange(d))
     autoencoder = None
-    if method == "autoencoder_sa":
-        code_dim = autoencoder_code_dim(config, len(keep))
-        autoencoder = build_autoencoder(len(keep), code_dim)
+    if method == "reduced_hva":
+        pipe.keep = reduce_features(ds, largest_square_target(d))
+        pipe.provenance = hilbert_arrange(len(pipe.keep))
+    elif method == "autoencoder_sa":
+        code_dim = autoencoder_code_dim(config, d)
+        autoencoder = build_autoencoder(d, code_dim)
         pipe.provenance = sequential_arrange(code_dim, *_code_grid_shape(code_dim))
     elif method not in ("mlp", "cnn1d"):
-        pipe.provenance = arrange(ds.schema, default_spec(base, ds.schema, seed=arrangement_seed))
-    return pipe, ds, autoencoder
+        pipe.provenance = arrange(ds.schema, default_spec(method, ds.schema, seed=arrangement_seed))
+    return pipe, autoencoder
 
 
 def prepare_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
                      train_config: TrainConfig, arrangement_seed: int = 0,
                      ) -> tuple[FittedPipeline, np.ndarray, Dataset, Dataset]:
-    """Everything before the classifier: reduce, split, standardize, encode.
+    """Everything before the classifier: split, standardize, encode.
 
     Returns the pipeline without its classifier network, the encoded
-    training inputs, and the raw training and test splits. The
-    auto-encoder of autoencoder_sa is trained here, on training rows only.
+    training inputs, and the raw training and test splits (full schema).
+    The auto-encoder of autoencoder_sa is trained here, on training rows only.
     """
-    pipe, ds, autoencoder = _layout(config, method, ds, arrangement_seed)
+    pipe, autoencoder = _layout(config, method, ds, arrangement_seed)
     train_raw, test_raw = out_of_time_split(ds, config.test_year)
     if len(train_raw) == 0:
         raise ExperimentError(f"no training data before {config.test_year}")
@@ -368,7 +358,7 @@ def check_input_shapes(config: ExperimentConfig, ds: Dataset) -> None:
     model is trained, so a method that cannot run costs no earlier fits.
     """
     for method in config.methods:
-        pipe, _, _ = _layout(config, method, ds, config.arrangement_seed)
+        pipe, _ = _layout(config, method, ds, config.arrangement_seed)
         classifier_spec(pipe.input_shape)
 
 
@@ -394,7 +384,8 @@ def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
 def save_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
     """Checkpoint the whole pipeline (standardizer, arrangement, networks)."""
     payload = {
-        "meta_json": np.array(json.dumps({"method": pipe.method}, sort_keys=True)),
+        "meta_json": np.array(json.dumps({"method": pipe.method, "features": pipe.features},
+                                         sort_keys=True)),
         "keep": pipe.keep,
         "mean": pipe.standardizer.mean,
         "stddev": pipe.standardizer.stddev,
@@ -408,9 +399,14 @@ def save_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
 
 
 def load_pipeline(path: str | Path) -> FittedPipeline:
+    """The pipeline a checkpoint holds; its record of feature names marks the format."""
     with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta_json"]))
+        if "features" not in meta:
+            raise ExperimentError(f"{path}: checkpoint records no feature names; retrain it")
         return FittedPipeline(
-            method=json.loads(str(data["meta_json"]))["method"],
+            method=meta["method"],
+            features=tuple(meta["features"]),
             keep=data["keep"],
             standardizer=StandardizationParams(mean=data["mean"], stddev=data["stddev"]),
             network=network_from_arrays(data, "net_"),
@@ -421,13 +417,21 @@ def load_pipeline(path: str | Path) -> FittedPipeline:
 
 def evaluate_pipeline(pipe: FittedPipeline, ds: Dataset,
                       test_year: int | None = None) -> RunRecord:
-    """Metrics of a saved pipeline on a dataset (optionally one year)."""
+    """Metrics of a saved pipeline on a dataset of its schema (optionally one year)."""
+    names = ds.schema.names
+    if len(names) != len(pipe.features):
+        raise ExperimentError(f"the pipeline was fitted on {len(pipe.features)} features, "
+                              f"the dataset has {len(names)}")
+    for i, (given, fitted) in enumerate(zip(names, pipe.features)):
+        if given != fitted:
+            raise ExperimentError(f"feature {i} is {given!r} in the dataset, "
+                                  f"{fitted!r} in the fitted pipeline")
     if test_year is not None:
         mask = ds.years == test_year
         if not mask.any():
             raise ExperimentError(f"no observations in year {test_year}")
         ds = ds.take(mask)
-    pset = PredictionSet(ds.labels, pipe.predict_classes(ds))
+    pset = PredictionSet(ds.labels, pipe.network.predict_classes(pipe.transform(ds)))
     dist = notch_frequency(pset)
     try:
         cond = conditional_notch(dist)
@@ -437,23 +441,13 @@ def evaluate_pipeline(pipe: FittedPipeline, ds: Dataset,
                      expected_abs_notch(dist), cond, len(pset))
 
 
-def run_method(config: ExperimentConfig, method: str, ds: Dataset | None = None) -> list[RunRecord]:
-    """Run one method's pipeline; one record per run.
-
-    Randomized methods vary the arrangement seed over randomization_runs
-    under a fixed training seed; deterministic methods vary the training
-    seed over training_seeds.
-    """
-    if ds is None:
-        ds = load_or_generate(config)
-    randomized = method in RANDOMIZED
-    records = []
-    for i in range(config.randomization_runs if randomized else config.training_seeds):
-        train_seed, arrangement_seed = ((config.train.seed, config.arrangement_seed + i)
-                                        if randomized else (config.train.seed + i, 0))
-        _, record, _ = fit_pipeline(config, method, ds, train_seed, arrangement_seed)
-        records.append(replace(record, run_index=i))
-    return records
+def fit_plan(config: ExperimentConfig) -> list[tuple[str, int, int, int]]:
+    """Every fit of the protocol in report order, as (method, run_index,
+    train_seed, arrangement_seed), by the seed rule of the module docstring."""
+    seed, first = config.train.seed, config.arrangement_seed
+    return [(m, i, seed, first + i) if m in RANDOMIZED else (m, i, seed + i, 0)
+            for m in config.methods
+            for i in range(config.randomization_runs if m in RANDOMIZED else config.training_seeds)]
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
@@ -468,9 +462,10 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
     if ds is None:
         ds = load_or_generate(config)
     check_input_shapes(config, ds)
-    records: dict[str, list[RunRecord]] = {}
-    for method in config.methods:
-        records[method] = run_method(config, method, ds)
+    records: dict[str, list[RunRecord]] = {method: [] for method in config.methods}
+    for method, run_index, train_seed, arrangement_seed in fit_plan(config):
+        _, record, _ = fit_pipeline(config, method, ds, train_seed, arrangement_seed)
+        records[method].append(replace(record, run_index=run_index))
 
     rows = []
     for method in config.methods:
@@ -549,14 +544,18 @@ def write_table(path: str | Path, cls, rows, exclude: tuple[str, ...] = ()) -> P
     return Path(path)
 
 
+def check_report_formats(formats: tuple[str, ...]) -> None:
+    for fmt in formats:
+        if fmt not in REPORT_FORMATS:
+            raise ExperimentError(f"unknown report format {fmt!r}")
+
+
 def emit_report(report: ExperimentReport, out_dir: str | Path,
-                formats: tuple[str, ...] = ("csv", "markdown")) -> list[Path]:
+                formats: tuple[str, ...] = REPORT_FORMATS) -> list[Path]:
     """Write report files; byte-deterministic for identical inputs."""
     if not report.rows:
         raise ExperimentError("report has no rows")
-    for fmt in formats:
-        if fmt not in ("csv", "markdown"):
-            raise ExperimentError(f"unknown report format {fmt!r}")
+    check_report_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

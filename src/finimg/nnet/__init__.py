@@ -1,11 +1,11 @@
 from .builders import (
+    ENCODER_LAYERS,
     MIN_SIDE,
     InputTooSmallError,
     build_autoencoder,
     build_cnn1d,
     build_cnn2d,
     build_mlp,
-    encoder_layer_count,
 )
 from .layers import loss_crossentropy, softmax
 from .network import (

@@ -27,6 +27,8 @@ DROPOUT_RATE = 0.3
 KERNEL = 3
 # The smallest input side both convolutions fit: (side - KERNEL + 1) // 2 >= KERNEL.
 MIN_SIDE = 3 * KERNEL - 1
+# Layers of build_autoencoder's network that make up the encoder half.
+ENCODER_LAYERS = 3
 
 
 class InputTooSmallError(ValueError):
@@ -100,8 +102,3 @@ def build_autoencoder(input_dim: int, code_dim: int, hidden: int = DENSE_UNITS) 
         ),
         loss="mse",
     )
-
-
-def encoder_layer_count() -> int:
-    """Layers of the auto-encoder that make up the encoder half."""
-    return 3

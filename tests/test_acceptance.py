@@ -250,13 +250,13 @@ def test_criterion_7_chance_level_control():
         training_seeds=10,
         train=TrainConfig(epochs=3, batch_size=64, seed=100),
     )
-    from finimg.experiment import run_method
+    from finimg.experiment import run_compare
 
-    ds = generate_synthetic(spec)
+    records = run_compare(config, generate_synthetic(spec)).records
     failures = []
     details = []
     for method in config.methods:
-        accs = [r.accuracy for r in run_method(config, method, ds)]
+        accs = [r.accuracy for r in records[method]]
         s = summarize(accs)
         deviation = abs(s.mean - 1 / 12)
         details.append(f"{method}={s.mean:.3f}±{s.stderr:.3f}")
@@ -347,13 +347,13 @@ def test_criterion_10_reduced_padding():
         return Dataset.from_observations(schema, obs)
 
     ds = with_missing(build_schema("fundamental"))
-    reduced, _ = reduce_features(ds, 256)
-    prov = hilbert_arrange(len(reduced.schema))
-    ok = len(reduced.schema) == 256 and prov.shape == (16, 16) and (prov != ZERO_PAD).all()
+    keep = reduce_features(ds, 256)
+    prov = hilbert_arrange(len(keep))
+    ok = len(keep) == 256 and prov.shape == (16, 16) and (prov != ZERO_PAD).all()
 
     ds = with_missing(build_schema("ratio"))
-    reduced, _ = reduce_features(ds, 64)
-    prov = hilbert_arrange(len(reduced.schema))
-    ok &= len(reduced.schema) == 64 and prov.shape == (8, 8) and (prov != ZERO_PAD).all()
+    keep = reduce_features(ds, 64)
+    prov = hilbert_arrange(len(keep))
+    ok &= len(keep) == 64 and prov.shape == (8, 8) and (prov != ZERO_PAD).all()
     report(10, ok, "332->256 gives a 16x16 grid and 69->64 an 8x8 grid, both with "
                    "zero padding cells")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from finimg import experiment
 from finimg.cli import build_parser, main
 from finimg.schema import FUNDAMENTAL_SECTIONS
 
@@ -108,6 +109,24 @@ def test_train_and_evaluate_roundtrip(tmp_path, synth_dir):
     assert code == 0
     eval_accuracy = float((eval_out / "metrics.csv").read_text().splitlines()[1].split(",")[1])
     assert eval_accuracy == trained_accuracy
+
+
+@pytest.mark.parametrize("per_section, width", [(12, 72), (10, 60)], ids=["wider", "narrower"])
+def test_evaluate_rejects_a_dataset_of_another_width(tmp_path, synth_dir, capsys,
+                                                     per_section, width):
+    model = tmp_path / "model"
+    assert run_cli("train", "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"), "--method", "cca",
+                   "--epochs", "1", "--out", str(model)) == 0
+    other = tmp_path / "other"
+    assert run_cli("synth", "--n-per-year", "12", "--years", "2016:2016",
+                   "--features-per-section", str(per_section), "--out", str(other)) == 0
+    capsys.readouterr()
+    code = run_cli("evaluate", "--model", str(model / "model.npz"),
+                   "--data", str(other / "data.csv"), "--schema", str(other / "schema.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error [evaluate] the pipeline was fitted on 66 features, the dataset has {width}\n")
 
 
 def test_compare_minimal_protocol(tmp_path, synth_dir):
@@ -249,6 +268,23 @@ def test_compare_rejects_bad_protocol_settings_at_config_stage(tmp_path, synth_d
     assert code == 2
     assert f"error [config] {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_rejects_an_unknown_report_format_before_training(tmp_path, synth_dir, capsys,
+                                                                   monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "train", lambda *a, **kw: calls.append(1))
+    out = tmp_path / "cmp"
+    code = run_cli(
+        "compare", "--data", str(synth_dir / "data.csv"),
+        "--schema", str(synth_dir / "schema.csv"),
+        "--methods", "cca,wcr", "--runs", "2", "--epochs", "1", "--format", "md",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "error [config] unknown report format 'md'" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("flags, message", [

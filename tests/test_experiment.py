@@ -1,5 +1,7 @@
 import importlib
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +23,11 @@ from finimg.experiment import (
     emit_report,
     evaluate_pipeline,
     fit_pipeline,
+    fit_plan,
     grid_tensor,
     largest_square_target,
     load_pipeline,
     run_compare,
-    run_method,
     save_pipeline,
 )
 from finimg.nnet import InputTooSmallError, SpecError, TrainConfig, save_arrays
@@ -217,7 +219,7 @@ def test_config_from_dict_accepts_an_int_for_a_float():
 def test_layout_input_shape_is_the_training_input_shape(spec, method):
     ds = generate_synthetic(spec)
     config = small_config(synthetic=spec, methods=(method,), arrangement_seed=5)
-    pipe, _, _ = experiment._layout(config, method, ds, config.arrangement_seed)
+    pipe, _ = experiment._layout(config, method, ds, config.arrangement_seed)
     _, train_x, train_raw, _ = experiment.prepare_pipeline(
         config, method, ds, config.train, config.arrangement_seed)
     assert train_x.shape == (len(train_raw), *pipe.input_shape)
@@ -260,8 +262,8 @@ def test_autoencoder_code_dim_defaults():
 
 
 def test_run_method_randomized_produces_runs_records(dataset):
-    config = small_config(randomization_runs=3)
-    records = run_method(config, "wcr", dataset)
+    config = small_config(methods=("wcr",), randomization_runs=3)
+    records = run_compare(config, dataset).records["wcr"]
     assert len(records) == 3
     assert [r.run_index for r in records] == [0, 1, 2]
     assert [r.arrangement_seed for r in records] == [0, 1, 2]
@@ -269,15 +271,15 @@ def test_run_method_randomized_produces_runs_records(dataset):
 
 
 def test_run_method_deterministic_repeatable(dataset):
-    config = small_config()
-    a = run_method(config, "cca", dataset)
-    b = run_method(config, "cca", dataset)
+    config = small_config(methods=("cca",))
+    a = run_compare(config, dataset).records["cca"]
+    b = run_compare(config, dataset).records["cca"]
     assert [r.accuracy for r in a] == [r.accuracy for r in b]
 
 
 def test_run_method_training_seeds(dataset):
-    config = small_config(training_seeds=2)
-    records = run_method(config, "sa", dataset)
+    config = small_config(methods=("sa",), training_seeds=2)
+    records = run_compare(config, dataset).records["sa"]
     assert len(records) == 2
     assert [r.train_seed for r in records] == [0, 1]
 
@@ -285,8 +287,8 @@ def test_run_method_training_seeds(dataset):
 @pytest.mark.parametrize("method", ["mlp", "cnn1d", "sa", "hva", "reduced_hva",
                                     "autoencoder_sa"])
 def test_every_method_runs(method, dataset):
-    config = small_config()
-    records = run_method(config, method, dataset)
+    config = small_config(methods=(method,))
+    records = run_compare(config, dataset).records[method]
     assert len(records) == 1
     assert 0.0 <= records[0].accuracy <= 1.0
     assert records[0].n_test == 60
@@ -325,15 +327,40 @@ def test_no_test_leakage_in_standardizer_and_autoencoder(dataset):
 
 def test_pipeline_checkpoint_roundtrip(tmp_path, dataset):
     config = small_config()
-    for method in ("mlp", "cca", "reduced_hva", "autoencoder_sa"):
+    for method in ALL_METHODS:
         pipe, record, _ = fit_pipeline(config, method, dataset, train_seed=0)
         path = tmp_path / f"{method}.npz"
         save_pipeline(pipe, path)
         back = load_pipeline(path)
         assert back.method == method
+        assert back.features == pipe.features == dataset.schema.names
+        x_back, x = back.transform(dataset), pipe.transform(dataset)
+        assert np.array_equal(back.network.predict_classes(x_back), pipe.network.predict_classes(x))
+        assert np.array_equal(back.network.predict(x_back), pipe.network.predict(x))
         again = evaluate_pipeline(back, dataset, test_year=2016)
         assert again.accuracy == record.accuracy
         assert again.n_test == record.n_test
+
+
+def test_fit_plan_lists_every_fit_in_report_order():
+    config = small_config(methods=("wcr", "sa", "cca"), randomization_runs=2, training_seeds=2,
+                          arrangement_seed=5, train=TrainConfig(epochs=1, seed=7))
+    assert fit_plan(config) == [
+        ("wcr", 0, 7, 5), ("wcr", 1, 7, 6),
+        ("sa", 0, 7, 0), ("sa", 1, 8, 0),
+        ("cca", 0, 7, 0), ("cca", 1, 8, 0),
+    ]
+
+
+def test_evaluate_rejects_a_dataset_of_another_schema(dataset):
+    pipe, _, _ = fit_pipeline(small_config(), "cca", dataset, train_seed=0)
+    features = list(dataset.schema.features)
+    features[7] = ("renamed", features[7][1])
+    renamed = replace(dataset, schema=replace(dataset.schema, features=tuple(features)))
+    name = dataset.schema.names[7]
+    with pytest.raises(ExperimentError,
+                       match=f"feature 7 is 'renamed' in the dataset, '{name}' in the fitted"):
+        evaluate_pipeline(pipe, renamed)
 
 
 def test_run_compare_report_structure(dataset):
@@ -507,6 +534,15 @@ def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
     arrays["net_param_0001"] = np.array([0.5])
     save_arrays(path, arrays)
     with pytest.raises(SpecError, match="net_param_0001"):
+        load_pipeline(path)
+
+
+def test_load_pipeline_rejects_a_checkpoint_without_feature_names(tmp_path, dataset):
+    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
+    assert set(json.loads(str(arrays["meta_json"]))) == {"features", "method"}
+    arrays["meta_json"] = np.array(json.dumps({"method": "cca"}))
+    save_arrays(path, arrays)
+    with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint records no feature")):
         load_pipeline(path)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finimg.nnet import (
+    ENCODER_LAYERS,
     DivergenceError,
     InputTooSmallError,
     Network,
@@ -15,7 +16,6 @@ from finimg.nnet import (
     build_cnn2d,
     build_mlp,
     classification_accuracy,
-    encoder_layer_count,
     grid_search,
     make_optimizer,
     network_arrays,
@@ -216,7 +216,7 @@ def test_autoencoder_shapes_and_training():
     net = Network(spec, seed=0)
     x = np.random.default_rng(0).normal(size=(4, 332))
     codes = x
-    for layer in net.layers[:encoder_layer_count()]:
+    for layer in net.layers[:ENCODER_LAYERS]:
         codes = layer.forward(codes, train=False)
     assert codes.shape == (4, 69)
 
