@@ -36,6 +36,7 @@ from .data import (
 from .encoding import (
     CONTROLS,
     RANDOMIZED_METHODS,
+    ZERO_PAD,
     arrange,
     default_spec,
     grid_tensor,
@@ -404,15 +405,50 @@ def load_pipeline(path: str | Path) -> FittedPipeline:
         meta = json.loads(str(data["meta_json"]))
         if "features" not in meta:
             raise ExperimentError(f"{path}: checkpoint records no feature names; retrain it")
-        return FittedPipeline(
+        pipe = FittedPipeline(
             method=meta["method"],
             features=tuple(meta["features"]),
             keep=data["keep"],
-            standardizer=StandardizationParams(mean=data["mean"], stddev=data["stddev"]),
             network=network_from_arrays(data, "net_"),
             provenance=data["provenance"] if "provenance" in data else None,
             autoencoder=network_from_arrays(data, "ae_") if "ae_spec_json" in data else None,
         )
+        standardizer = {"mean": data["mean"], "stddev": data["stddev"]}
+    _check_pipeline(pipe, standardizer, path)
+    pipe.standardizer = StandardizationParams(**standardizer)
+    return pipe
+
+
+def _check_pipeline(pipe: FittedPipeline, standardizer: dict[str, np.ndarray],
+                    path: str | Path) -> None:
+    """Check a loaded pipeline's arrays against its features; name the file and the key."""
+    def fail(key: str, detail: str):
+        raise ExperimentError(f"{path}: checkpoint key {key!r} {detail}")
+
+    d, keep = len(pipe.features), pipe.keep
+    if keep.ndim != 1 or keep.dtype.kind not in "iu":
+        fail("keep", f"must be a 1-D integer array, got {keep.dtype} of shape {keep.shape}")
+    outside = keep[(keep < 0) | (keep >= d)]
+    if outside.size:
+        fail("keep", f"holds {outside[0]}, outside the {d} features")
+    if len(np.unique(keep)) != len(keep):
+        fail("keep", "repeats a feature")
+    for key, values in standardizer.items():
+        if values.shape != (d,):
+            fail(key, f"has shape {values.shape}, not ({d},)")
+    if not np.all(standardizer["stddev"] > 0):
+        fail("stddev", "holds an entry that is not positive")
+    inputs = len(keep)
+    if pipe.autoencoder is not None:  # the index map places its codes
+        inputs = pipe.autoencoder.spec.layer_shapes()[ENCODER_LAYERS - 1][0]
+    if pipe.provenance is not None:
+        cells = pipe.provenance[pipe.provenance != ZERO_PAD]
+        if pipe.provenance.dtype.kind not in "iu" or not np.array_equal(
+                np.sort(cells), np.arange(inputs)):
+            fail("provenance", f"is not a one-to-one map of {inputs} inputs plus {ZERO_PAD}s")
+    if pipe.network.spec.input_shape != pipe.input_shape:
+        fail("net_spec_json", f"takes input {pipe.network.spec.input_shape}, "
+                              f"the encoding gives {pipe.input_shape}")
 
 
 def evaluate_pipeline(pipe: FittedPipeline, ds: Dataset,

@@ -9,8 +9,19 @@ so each axis shrinks by kernel - 1. Pooling windows do not overlap and
 floor-truncate. A max pool keeps one boolean mask per window position,
 routes each window's gradient to its first maximum, and writes the input
 gradient through strided slices, one per window position (see _MaxPool).
+
+Memory order: each kernel writes its output in the order the next step
+reads, and the values never depend on it. A convolution's GEMMs write its
+output and its input gradient channels-last, returned as (N, C, H, W)
+views, and it pads its output gradient into a channels-last buffer. A max
+pool keeps its input's order in its output, masks and input gradient, so
+the gradient reaching a convolution's backward is already the
+channels-last matrix its weight GEMM reads. Flatten copies to C order,
+because the dense weights read (C, H, W) order.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -127,7 +138,7 @@ class Flatten(Layer):
 
     def forward(self, x, train, rng=None):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # also for 0 rows
 
     def backward(self, grad):
         return grad.reshape(self._shape)
@@ -153,7 +164,8 @@ class _Conv(_Weighted):
         self._cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
             n * oh * ow, c * kh * kw
         )
-        out = self._cols @ weight.reshape(f, -1).T + self.bias
+        out = self._cols @ weight.reshape(f, -1).T
+        out += self.bias
         self._in_hw = (h, w)
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
@@ -166,7 +178,8 @@ class _Conv(_Weighted):
         self._db = gmat.sum(axis=0)
         if not self.needs_input_grad:
             return None
-        gp = np.pad(grad, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+        gp = np.zeros((n, oh + 2 * (kh - 1), ow + 2 * (kw - 1), f)).transpose(0, 3, 1, 2)
+        gp[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = grad
         s0, s1, s2, s3 = gp.strides
         win = np.lib.stride_tricks.as_strided(
             gp, (n, f, h, w, kh, kw), (s0, s1, s2, s3, s2, s3)
@@ -218,8 +231,8 @@ class _MaxPool(Layer):
     first maximum; a window holding NaN pools to NaN and passes none. The
     backward pass writes np.where(mask, grad, 0) into the strided slice
     dx[:, :, i::wh, j::ww] of one zeroed dx; rows and columns past the last
-    whole window get zeros. MaxPool1D is the (1, window) case on
-    (N, C, 1, L) views.
+    whole window get zeros; dx is allocated in the input's memory order.
+    MaxPool1D is the (1, window) case on (N, C, 1, L) views.
     """
 
     def __init__(self, window: int):
@@ -242,11 +255,13 @@ class _MaxPool(Layer):
             free &= ~m
             self._masks.append(m)
         self._in_hw = (h, w)
+        self._in_axes = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outermost first
         return out
 
     def _pool_backward(self, grad, wh, ww):
         n, c, oh, ow = grad.shape
-        dx = np.zeros((n, c, *self._in_hw))
+        shape = np.array((n, c, *self._in_hw))
+        dx = np.zeros(shape[self._in_axes]).transpose(np.argsort(self._in_axes))
         for (i, j), m in zip(np.ndindex(wh, ww), self._masks):
             dx[:, :, i : oh * wh : wh, j : ow * ww : ww] = np.where(m, grad, 0.0)
         return dx

@@ -34,6 +34,10 @@ from .layers import (
 )
 
 
+# Rows per forward pass of Network.predict.
+PREDICT_ROWS = 64
+
+
 class SpecError(ValueError):
     """Raised when layer shapes do not compose."""
 
@@ -251,8 +255,10 @@ class Network:
         return x
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode forward pass (class probabilities for classifiers)."""
-        return self.forward(x, train=False)
+        """Inference-mode forward pass (class probabilities for classifiers),
+        PREDICT_ROWS rows at a time, so memory does not grow with len(x)."""
+        return np.concatenate([self.forward(x[i : i + PREDICT_ROWS], train=False)
+                               for i in range(0, max(len(x), 1), PREDICT_ROWS)])
 
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x).argmax(axis=1)

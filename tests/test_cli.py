@@ -8,6 +8,7 @@ import pytest
 
 from finimg import experiment
 from finimg.cli import build_parser, main
+from finimg.nnet import save_arrays
 from finimg.schema import FUNDAMENTAL_SECTIONS
 
 
@@ -127,6 +128,26 @@ def test_evaluate_rejects_a_dataset_of_another_width(tmp_path, synth_dir, capsys
     assert code == 2
     assert capsys.readouterr().err == (
         f"error [evaluate] the pipeline was fitted on 66 features, the dataset has {width}\n")
+
+
+def test_evaluate_names_the_checkpoint_key_out_of_range(tmp_path, synth_dir, capsys):
+    # A keep entry past the schema used to load, and evaluate then failed
+    # with "index 500 is out of bounds", naming neither the file nor the key.
+    model = tmp_path / "model"
+    assert run_cli("train", "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"), "--method", "cca",
+                   "--epochs", "1", "--out", str(model)) == 0
+    path = model / "model.npz"
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["keep"][0] = 500
+    save_arrays(path, arrays)
+    capsys.readouterr()
+    code = run_cli("evaluate", "--model", str(path), "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error [evaluate] {path}: checkpoint key 'keep' holds 500, outside the 66 features\n")
 
 
 def test_compare_minimal_protocol(tmp_path, synth_dir):

@@ -556,6 +556,103 @@ def test_load_pipeline_rejects_unsupported_padding(tmp_path, dataset):
         load_pipeline(path)
 
 
+def _keep_at_500(arrays):
+    arrays["keep"] = arrays["keep"].copy()
+    arrays["keep"][0] = 500
+
+
+def _keep_repeated(arrays):
+    arrays["keep"] = arrays["keep"].copy()
+    arrays["keep"][1] = arrays["keep"][0]
+
+
+def _provenance_repeated(arrays):
+    prov = arrays["provenance"].copy()
+    first, second = np.flatnonzero(prov.ravel() != ZERO_PAD)[:2]
+    prov.ravel()[second] = prov.ravel()[first]
+    arrays["provenance"] = prov
+
+
+def _provenance_dropped(arrays):
+    prov = arrays["provenance"].copy()
+    prov.ravel()[np.flatnonzero(prov.ravel() != ZERO_PAD)[0]] = ZERO_PAD
+    arrays["provenance"] = prov
+
+
+def _mean_short(arrays):
+    arrays["mean"] = arrays["mean"][:-1]
+
+
+def _stddev_zero(arrays):
+    arrays["stddev"] = arrays["stddev"].copy()
+    arrays["stddev"][3] = 0.0
+
+
+def _net_transposed(arrays):
+    spec = json.loads(str(arrays["net_spec_json"]))
+    c, h, w = spec["input_shape"]
+    spec["input_shape"] = [c, w, h]  # the same parameter shapes fit
+    arrays["net_spec_json"] = np.array(json.dumps(spec, sort_keys=True))
+
+
+@pytest.mark.parametrize("mutate, key, detail", [
+    (_keep_at_500, "keep", "holds 500, outside the 66 features"),
+    (_keep_repeated, "keep", "repeats a feature"),
+    (_provenance_repeated, "provenance", "is not a one-to-one map of 66 inputs"),
+    (_provenance_dropped, "provenance", "is not a one-to-one map of 66 inputs"),
+    (_mean_short, "mean", "has shape (65,), not (66,)"),
+    (_stddev_zero, "stddev", "holds an entry that is not positive"),
+    (_net_transposed, "net_spec_json", "takes input (1, 12, 8), the encoding gives (1, 8, 12)"),
+])
+def test_load_pipeline_checks_arrays_against_features(tmp_path, dataset, mutate, key, detail):
+    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
+    mutate(arrays)
+    save_arrays(path, arrays)
+    with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint key {key!r} {detail}")):
+        load_pipeline(path)
+
+
+@st.composite
+def fitted_pipelines(draw):
+    """One small fit of a drawn method on a drawn schema and seeds."""
+    counts = {s: draw(st.integers(11, 16)) for s in FUNDAMENTAL_SECTIONS}
+    spec = small_spec(n_per_year=24, section_counts=counts, seed=draw(st.integers(0, 2**16)))
+    config = small_config(synthetic=spec, train=TrainConfig(epochs=1, batch_size=16, seed=0))
+    ds = generate_synthetic(spec)
+    method = draw(st.sampled_from(ALL_METHODS))
+    pipe, _, _ = fit_pipeline(config, method, ds, train_seed=draw(st.integers(0, 2**16)),
+                              arrangement_seed=draw(st.integers(0, 2**16)))
+    return pipe, ds
+
+
+@settings(max_examples=30, deadline=None)
+@given(fitted=fitted_pipelines())
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, fitted):
+    pipe, ds = fitted
+    path = tmp_path_factory.mktemp("ckpt") / "pipe.npz"
+    save_pipeline(pipe, path)
+    back = load_pipeline(path)
+    assert (back.method, back.features) == (pipe.method, pipe.features)
+    for got, want in ((back.keep, pipe.keep), (back.provenance, pipe.provenance),
+                      (back.standardizer.mean, pipe.standardizer.mean),
+                      (back.standardizer.stddev, pipe.standardizer.stddev)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    nets = [(back.network, pipe.network), (back.autoencoder, pipe.autoencoder)]
+    for got, want in nets:
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.spec == want.spec and got.seed == want.seed
+            for a, b in zip(got.parameters(), want.parameters(), strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.array_equal(back.network.predict(back.transform(ds)),
+                          pipe.network.predict(pipe.transform(ds)))
+    again = path.with_name("again.npz")
+    save_pipeline(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_run_compare_checks_every_input_shape_before_training(monkeypatch):
     # 54 features: sa and hva fit, but reduced_hva keeps 16, a 4x4 grid.
     ds = generate_synthetic(small_spec(section_counts={s: 9 for s in FUNDAMENTAL_SECTIONS}))

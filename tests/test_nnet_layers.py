@@ -391,3 +391,64 @@ def test_network_runs_pool_before_relu_without_touching_the_spec():
     assert [l.name for l in net.layers] == [
         "conv2d", "maxpool2d", "relu", "conv2d", "relu", "flatten",
         "dense", "relu", "dense", "relu", "softmax_output"]
+
+
+def channels_last(x):
+    """x with the same values, its channel axis (axis 1) innermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+
+
+def is_channels_last(x):
+    return np.moveaxis(x, 1, -1).flags.c_contiguous
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), one_d=st.booleans(), pool=st.booleans(),
+       x_last=st.booleans(), g_last=st.booleans())
+def test_layers_give_the_same_bits_in_either_memory_order(data, one_d, pool, x_last, g_last):
+    # The layers hand each other arrays in the order their GEMMs wrote them;
+    # the values, and so every bit of the results, must not depend on it.
+    n, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    spatial = (data.draw(st.integers(3, 7)),) if one_d else (
+        data.draw(st.integers(3, 7)), data.draw(st.integers(3, 7)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-2, 3, size=(n, c, *spatial)).astype(float)  # ties in pool windows
+    if pool:
+        window = data.draw(st.integers(1, 3))
+        make = lambda: MaxPool1D(window) if one_d else MaxPool2D(window)
+        out_shape = (n, c, *(s // window for s in spatial))
+    else:
+        kernel = tuple(data.draw(st.integers(1, s)) for s in spatial)
+        weight = rng.normal(size=(data.draw(st.integers(1, 3)), c, *kernel))
+        bias = rng.normal(size=weight.shape[0])
+        make = lambda: (Conv1D if one_d else Conv2D)(weight.copy(), bias.copy())
+        out_shape = (n, weight.shape[0], *(s - k + 1 for s, k in zip(spatial, kernel)))
+    g = rng.normal(size=out_shape)
+
+    def run(x, g):
+        layer = make()
+        out = layer.forward(x, train=False).copy()
+        return [out, layer.backward(g), *layer.grads()]
+
+    want = run(x, g)
+    got = run(channels_last(x) if x_last else x, channels_last(g) if g_last else g)
+    assert len(got) == len(want) == (2 if pool else 4)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_pool_after_conv_returns_dx_in_the_conv_output_order(one_d):
+    # A conv writes its output channels-last; the pool's dx must come back in
+    # that order, so the conv's backward reads it without a copy.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 3, 9) if one_d else (2, 3, 9, 8))
+    conv = (Conv1D if one_d else Conv2D)(rng.normal(size=(4, 3, 2) if one_d else (4, 3, 2, 2)),
+                                         np.zeros(4))
+    pool = (MaxPool1D if one_d else MaxPool2D)(2)
+    fmap = conv.forward(x, train=False)
+    pooled = pool.forward(fmap, train=False)
+    dx = pool.backward(rng.normal(size=pooled.shape))
+    assert is_channels_last(fmap) and not fmap.flags.c_contiguous
+    assert is_channels_last(dx) and dx.shape == fmap.shape
+    assert pool.backward(np.ascontiguousarray(rng.normal(size=pooled.shape))).strides == dx.strides

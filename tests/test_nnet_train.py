@@ -22,7 +22,7 @@ from finimg.nnet import (
     network_from_arrays,
     save_arrays,
 )
-from finimg.nnet.network import SpecError, dense, softmax_output
+from finimg.nnet.network import PREDICT_ROWS, SpecError, dense, softmax_output
 from finimg.nnet.train import train
 
 
@@ -199,6 +199,32 @@ def test_predict_probabilities_sum_to_one():
     probs = net.predict(x)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     assert probs.shape == (3, 12)
+
+
+@pytest.mark.parametrize("spec", [build_mlp(10), build_cnn1d(12), build_cnn2d(8, 9)],
+                         ids=["mlp", "cnn1d", "cnn2d"])
+def test_predict_in_chunks_matches_one_forward_pass(spec):
+    net = Network(spec, seed=0)
+    rng = np.random.default_rng(1)
+    forward, sizes = net.forward, []
+
+    def counted(x, **kw):
+        sizes.append(len(x))
+        return forward(x, **kw)
+
+    net.forward = counted
+    for rows in (0, 1, 63, 64, 65, 1000):
+        x = rng.normal(size=(rows, *spec.input_shape))
+        sizes.clear()
+        probs = net.predict(x)
+        assert sizes == [PREDICT_ROWS] * (rows // PREDICT_ROWS) + (
+            [rows % PREDICT_ROWS] if rows % PREDICT_ROWS or not rows else [])
+        whole = forward(x, train=False)
+        assert probs.shape == whole.shape == (rows, 12)
+        assert np.array_equal(probs.argmax(axis=1), whole.argmax(axis=1))
+        np.testing.assert_allclose(probs, whole, rtol=0, atol=1e-12)
+        assert np.array_equal(net.predict_classes(x), whole.argmax(axis=1))
+    assert PREDICT_ROWS == 64
 
 
 def test_zero_weight_net_is_uniform():
