@@ -30,21 +30,6 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class Observation:
-    entity_id: str
-    year: int
-    quarter: int
-    values: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if not 1 <= self.quarter <= 4:
-            raise DatasetError(f"quarter {self.quarter} outside 1..4")
-        if not 0 <= self.label < N_CLASSES:
-            raise DatasetError(f"label {self.label} outside 0..{N_CLASSES - 1}")
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A schema plus aligned arrays of observations (NaN = missing)."""
 
@@ -69,22 +54,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.entity_ids)
-
-    @classmethod
-    def from_observations(cls, schema: FeatureSchema, obs: list[Observation]) -> Dataset:
-        values = (
-            np.array([o.values for o in obs], dtype=float)
-            if obs
-            else np.empty((0, len(schema)))
-        )
-        return cls(
-            schema=schema,
-            entity_ids=tuple(o.entity_id for o in obs),
-            years=np.array([o.year for o in obs], dtype=int),
-            quarters=np.array([o.quarter for o in obs], dtype=int),
-            values=values,
-            labels=np.array([o.label for o in obs], dtype=int),
-        )
 
     def take(self, index: np.ndarray) -> Dataset:
         return Dataset(

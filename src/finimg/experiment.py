@@ -11,12 +11,21 @@ randomization_runs times with arrangement seeds arrangement_seed+0..runs-1
 under one training seed, so run spread reflects the arrangement alone.
 Deterministic encodings repeat over training seeds train.seed+0..
 training_seeds-1 at arrangement seed 0, when ranking needs samples.
+
+run_compare runs a plan of two or more fits in spawned worker processes,
+one per usable CPU, each with one BLAS thread. Those fits equal a serial
+run at OPENBLAS_NUM_THREADS=1 bit for bit, whatever the worker or CPU
+count. A lone fit, or workers=1, runs in the calling process at its
+BLAS thread count, as finimg train does.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -493,15 +502,82 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
     return s.mean, s.stderr
 
 
-def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> ExperimentReport:
-    """The full protocol: every configured method, significance, ranking."""
+def pool_size(workers: int | None, n_fits: int) -> int:
+    """Processes for n_fits fits: one per usable CPU, at most one per fit
+    and at most workers (None: no cap beyond the CPUs)."""
+    if workers is not None and workers < 1:
+        raise ExperimentError(f"workers must be an integer >= 1, got {workers!r}")
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, n_fits, workers or cpus))
+
+
+_SHARED: tuple = ()  # a pool worker's leading arguments, set once by _init_worker
+
+
+def _init_worker(*shared) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _call_shared(fn, task: tuple):
+    return fn(*_SHARED, *task)
+
+
+def run_pooled(fn, tasks: list[tuple], workers: int, *shared) -> list:
+    """fn(*shared, *task) for each task in spawned worker processes that
+    run numpy at one BLAS thread; results in task order.
+
+    shared is sent once per worker. The first task in order that raises
+    re-raises here; pending tasks are cancelled and every worker has
+    exited when this returns or raises. fn must be importable by name,
+    and a script that calls this must start under `if __name__ ==
+    "__main__":`, since each worker imports the script's module.
+    """
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                               initializer=_init_worker, initargs=shared)
+    try:
+        # numpy reads the variable when a worker imports it; every worker
+        # starts inside this block, since submit starts them.
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            futures = [pool.submit(_call_shared, fn, task) for task in tasks]
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _fit_record(config: ExperimentConfig, ds: Dataset, method: str, run_index: int,
+                train_seed: int, arrangement_seed: int) -> RunRecord:
+    """The test-set record of one fit_plan entry."""
+    _, record, _ = fit_pipeline(config, method, ds, train_seed, arrangement_seed)
+    return replace(record, run_index=run_index)
+
+
+def run_compare(config: ExperimentConfig, ds: Dataset | None = None,
+                workers: int | None = None) -> ExperimentReport:
+    """The full protocol: every configured method, significance, ranking.
+
+    The fits run in pool_size(workers, fits) processes: in this process
+    when that is 1, else through run_pooled.
+    """
+    plan = fit_plan(config)
+    n = pool_size(workers, len(plan))
     if ds is None:
         ds = load_or_generate(config)
     check_input_shapes(config, ds)
+    if n == 1:
+        fitted = [_fit_record(config, ds, *entry) for entry in plan]
+    else:
+        fitted = run_pooled(_fit_record, plan, n, config, ds)
     records: dict[str, list[RunRecord]] = {method: [] for method in config.methods}
-    for method, run_index, train_seed, arrangement_seed in fit_plan(config):
-        _, record, _ = fit_pipeline(config, method, ds, train_seed, arrangement_seed)
-        records[method].append(replace(record, run_index=run_index))
+    for record in fitted:
+        records[record.method].append(record)
 
     rows = []
     for method in config.methods:

@@ -22,7 +22,6 @@ from .train import (
     TrainConfig,
     backward_and_step,
     classification_accuracy,
-    gradient_check,
     grid_search,
     make_optimizer,
 )

@@ -283,9 +283,6 @@ class Network:
             grad = layer.backward(grad)
         return loss
 
-    def loss_only(self, x: np.ndarray, target: np.ndarray) -> float:
-        return self._loss(self.forward(x, train=False), target)
-
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 

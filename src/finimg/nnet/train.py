@@ -1,4 +1,4 @@
-"""Training loop, optimizers, finite-difference checks, and grid search.
+"""Training loop, optimizers, and grid search.
 
 Everything is driven by one seeded generator per run: initialization,
 batch shuffling, and dropout all consume the same stream, so a (spec,
@@ -99,40 +99,6 @@ def train(spec: NetworkSpec, inputs: np.ndarray, targets: np.ndarray,
             total += loss * idx.shape[0]
         net.history.append(total / n)
     return net
-
-
-def gradient_check(spec: NetworkSpec, inputs: np.ndarray, targets: np.ndarray,
-                   epsilon: float = 1e-5, max_checks_per_param: int | None = 60,
-                   seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Dropout is forced off (inference mode) so the loss is deterministic.
-    Large parameter tensors are spot-checked at seeded coordinates.
-    """
-    net = Network(spec, seed=seed)
-    net.loss_and_grad(inputs, targets, train=False)
-    analytic = [g.copy() for g in net.gradients()]
-    rng = np.random.default_rng(seed + 12345)
-    worst = 0.0
-    for p, g in zip(net.parameters(), analytic):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        size = flat_p.shape[0]
-        if max_checks_per_param is None or size <= max_checks_per_param:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=max_checks_per_param, replace=False)
-        for i in coords:
-            orig = flat_p[i]
-            flat_p[i] = orig + epsilon
-            up = net.loss_only(inputs, targets)
-            flat_p[i] = orig - epsilon
-            down = net.loss_only(inputs, targets)
-            flat_p[i] = orig
-            fd = (up - down) / (2.0 * epsilon)
-            denom = max(abs(fd), abs(flat_g[i]), 1e-8)
-            worst = max(worst, abs(fd - flat_g[i]) / denom)
-    return worst
 
 
 def classification_accuracy(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:

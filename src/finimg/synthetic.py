@@ -116,18 +116,3 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         values=values,
         labels=labels,
     )
-
-
-def oracle_accuracy(ds: Dataset) -> float:
-    """Accuracy of the section-score oracle that mirrors the generator.
-
-    Estimates each section factor as the sign-weighted section mean,
-    sums them, and rebins by per-year quantiles. Reaches 1.0 when noise
-    is 0 and factor_strength is positive.
-    """
-    signs = loading_signs(ds.schema)
-    est = np.zeros(len(ds))
-    for sl in ds.schema.section_slices().values():
-        est += (ds.values[:, sl] * signs[sl]).mean(axis=1)
-    predicted = yearly_quantile_labels(est, ds.years)
-    return float((predicted == ds.labels).mean())

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from finimg.data import Dataset, Observation
 from finimg.encoding import ZERO_PAD, arrange, default_spec, hilbert_arrange, image, reduce_features
 from finimg.experiment import ExperimentConfig, emit_report, grid_tensor, run_compare
 from finimg.hilbert import HilbertOrder, hilbert_d2xy, hilbert_xy2d
@@ -23,11 +22,12 @@ from finimg.metrics import (
     notch_frequency,
     precision_recall_f1_binary,
 )
-from finimg.nnet import NetworkSpec, TrainConfig, build_cnn2d, gradient_check, grid_search
+from finimg.nnet import NetworkSpec, TrainConfig, build_cnn2d, grid_search
 from finimg.nnet.network import activation, conv1d, conv2d, dense, dropout, flatten, maxpool, softmax_output
 from finimg.schema import FUNDAMENTAL_SECTIONS, build_schema
 from finimg.stats import pairwise_t_bonferroni, summarize, t_cdf
 from finimg.synthetic import SyntheticSpec, generate_synthetic
+from support import Observation, dataset_from_observations, gradient_check
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -344,7 +344,7 @@ def test_criterion_10_reduced_padding():
         values[holes] = np.nan
         obs = [Observation(f"c{i}", 2015 + i % 2, i % 4 + 1, values[i], int(i % 12))
                for i in range(24)]
-        return Dataset.from_observations(schema, obs)
+        return dataset_from_observations(schema, obs)
 
     ds = with_missing(build_schema("fundamental"))
     keep = reduce_features(ds, 256)

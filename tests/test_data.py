@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from finimg.data import (
-    Dataset,
     DatasetError,
-    Observation,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -14,6 +12,7 @@ from finimg.data import (
     save_csv,
 )
 from finimg.schema import FUNDAMENTAL_SECTIONS, build_schema
+from support import Observation, dataset_from_observations
 
 
 def tiny_schema(per_section=1):
@@ -24,7 +23,7 @@ def make_dataset(rows):
     """rows: list of (id, year, quarter, values, label)."""
     schema = tiny_schema()
     obs = [Observation(r[0], r[1], r[2], np.array(r[3], dtype=float), r[4]) for r in rows]
-    return Dataset.from_observations(schema, obs)
+    return dataset_from_observations(schema, obs)
 
 
 BASE = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
@@ -63,7 +62,7 @@ def test_split_requires_test_observations():
 
 
 def test_split_empty_dataset():
-    ds = Dataset.from_observations(tiny_schema(), [])
+    ds = dataset_from_observations(tiny_schema(), [])
     with pytest.raises(DatasetError):
         out_of_time_split(ds, 2016)
 
@@ -116,7 +115,7 @@ def test_apply_standardizer_shape_mismatch():
     ds = make_dataset(rows)
     params = fit_standardizer(ds)
     bigger = build_schema("fundamental", {s: 2 for s in FUNDAMENTAL_SECTIONS})
-    other = Dataset.from_observations(
+    other = dataset_from_observations(
         bigger, [Observation("x", 2015, 1, np.zeros(12), 0)]
     )
     with pytest.raises(DatasetError):
@@ -130,7 +129,7 @@ def test_standardized_train_set_is_zero_mean_unit_sd():
         Observation(f"c{i}", 2015, i % 4 + 1, rng.normal(3, 2, size=6), int(rng.integers(0, 12)))
         for i in range(40)
     ]
-    ds = Dataset.from_observations(schema, obs)
+    ds = dataset_from_observations(schema, obs)
     out = apply_standardizer(ds, fit_standardizer(ds))
     assert np.allclose(out.values.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(out.values.std(axis=0), 1.0, atol=1e-9)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finimg.data import Dataset, Observation
 from finimg.encoding import (
     ZERO_PAD,
     ArrangementSpec,
@@ -29,6 +28,7 @@ from finimg.schema import (
     RATIO_CATEGORIES,
     build_schema,
 )
+from support import Observation, dataset_from_observations
 
 
 def check_provenance(grid, d):
@@ -243,7 +243,7 @@ def make_missing_dataset(missing_map, per_section=2):
         Observation(f"c{i}", 2015, i % 4 + 1, values[i], 0)
         for i in range(n)
     ]
-    return Dataset.from_observations(schema, obs)
+    return dataset_from_observations(schema, obs)
 
 
 def test_reduce_features_drops_most_missing():
@@ -275,7 +275,7 @@ def test_reduced_canonical_hilbert_grids():
     schema = build_schema("fundamental")
     values = rng.normal(size=(4, 332))
     obs = [Observation(f"c{i}", 2015, i + 1, values[i], 0) for i in range(4)]
-    ds = Dataset.from_observations(schema, obs)
+    ds = dataset_from_observations(schema, obs)
     keep = reduce_features(ds, 256)
     assert len(keep) == 256
     prov = hilbert_arrange(len(keep))

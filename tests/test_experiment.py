@@ -1,6 +1,10 @@
 import importlib
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,10 +31,11 @@ from finimg.experiment import (
     grid_tensor,
     largest_square_target,
     load_pipeline,
+    pool_size,
     run_compare,
     save_pipeline,
 )
-from finimg.nnet import InputTooSmallError, SpecError, TrainConfig, save_arrays
+from finimg.nnet import DivergenceError, InputTooSmallError, SpecError, TrainConfig, save_arrays
 from finimg.schema import FUNDAMENTAL_SECTIONS, SECTION_LABELS
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
@@ -664,3 +669,95 @@ def test_run_compare_checks_every_input_shape_before_training(monkeypatch):
     with pytest.raises(InputTooSmallError, match="4x4"):
         run_compare(config, ds)
     assert calls == []
+
+
+def test_pool_size_is_capped_by_cpus_fits_and_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert pool_size(None, 15) == 8
+    assert pool_size(None, 3) == 3
+    assert pool_size(2, 15) == 2
+    assert pool_size(20, 15) == 8
+    assert pool_size(None, 1) == pool_size(4, 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert pool_size(None, 15) == pool_size(4, 15) == 1
+    for bad in (0, -1):
+        with pytest.raises(ExperimentError, match=f"workers must be an integer >= 1, got {bad}"):
+            pool_size(bad, 15)
+
+
+@pytest.mark.parametrize("blas_threads", [None, "3"])
+def test_pooled_compare_restores_the_environment_and_leaves_no_process(
+        dataset, monkeypatch, blas_threads):
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    before = dict(os.environ)
+    report = run_compare(small_config(methods=("mlp", "cca")), dataset, workers=2)
+    assert [r.method for recs in report.records.values() for r in recs] == ["mlp", "cca"]
+    assert dict(os.environ) == before
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("settings, error", [
+    (dict(train=TrainConfig(epochs=1, batch_size=64, seed=0, learning_rate=1e300)),
+     DivergenceError),
+    (dict(test_year=2014), ExperimentError),
+], ids=["diverging", "no_training_rows"])
+def test_a_failing_fit_raises_the_same_error_pooled_and_in_process(dataset, settings, error):
+    config = small_config(methods=("mlp", "cca", "wcr"), **settings)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(error) as info:
+            run_compare(config, dataset, workers=workers)
+        raised.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert raised[0] == raised[1]
+
+
+def _python(script: str, blas_threads: str) -> str:
+    """Run a script in a fresh interpreter at the given BLAS thread count; its stdout."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# A fit that ends each epoch on a short batch. Run in process on a 2-CPU
+# machine it gives 71622fc6c1ba... at 2 BLAS threads and this hash at 1.
+TAIL_BATCH_HVA_HASH = "5a1f9fccf09d06acf7ebde5eb2d51cc21264773ef0839e5f4b50307e9516e2af"
+
+
+def test_a_pooled_fit_equals_the_one_thread_serial_fit_whatever_the_parent_threads():
+    setup = "from support import parameter_hash, tail_batch_case\nconfig, ds = tail_batch_case()\n"
+    pooled = _python(setup + "from finimg.experiment import run_pooled\n"
+                     "print(run_pooled(parameter_hash, [('hva', 7)], 1, config, ds)[0])", "2")
+    serial = _python(setup + "print(parameter_hash(config, ds, 'hva', 7))", "1")
+    assert pooled.strip() == serial.strip() == TAIL_BATCH_HVA_HASH
+
+
+def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    # 120 training rows at batch 64: each epoch ends on a 56-row batch. On a
+    # one-CPU machine both worker counts resolve to one in-process run.
+    script = f"""
+from finimg.experiment import ExperimentConfig, emit_report, run_compare
+from finimg.nnet import TrainConfig
+from finimg.schema import FUNDAMENTAL_SECTIONS
+from finimg.synthetic import SyntheticSpec
+spec = SyntheticSpec(n_per_year=60, years=(2014, 2016), seed=0,
+                     section_counts={{s: 11 for s in FUNDAMENTAL_SECTIONS}})
+config = ExperimentConfig(synthetic=spec, methods=("mlp", "cnn1d", "cca", "wcr", "hva"),
+                          randomization_runs=2, training_seeds=2,
+                          train=TrainConfig(epochs=2, batch_size=64))
+for workers in (1, 2):
+    emit_report(run_compare(config, workers=workers), {str(tmp_path)!r} + f"/w{{workers}}")
+"""
+    _python(script, "1")
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert names == ["pairwise_p.csv", "report.csv", "report.md", "runs.csv"]
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()

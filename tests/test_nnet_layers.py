@@ -7,7 +7,6 @@ from finimg.nnet import (
     Network,
     NetworkSpec,
     build_cnn2d,
-    gradient_check,
     loss_crossentropy,
     softmax,
 )
@@ -29,6 +28,7 @@ from finimg.nnet.network import (
     maxpool,
     softmax_output,
 )
+from support import gradient_check
 
 
 def test_conv1d_hand_example():

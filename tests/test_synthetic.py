@@ -7,9 +7,9 @@ from finimg.synthetic import (
     SyntheticSpec,
     generate_synthetic,
     loading_signs,
-    oracle_accuracy,
     quantile_labels,
 )
+from support import oracle_accuracy
 
 SMALL = {s: 4 for s in FUNDAMENTAL_SECTIONS}
 
