@@ -73,14 +73,6 @@ def _parse_years(text: str) -> tuple[int, int]:
         raise ValueError(f"--years must be first:last (or one year), got {text!r}") from None
 
 
-def _parse_workers(text: str | None) -> int | None:
-    if text is None:
-        return None
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValueError(f"--workers must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--data", help="data CSV path")
@@ -219,11 +211,10 @@ def _cmd_compare(args) -> int:
         config = _experiment_config(args)
         formats = tuple(args.format.split(",")) if args.format else REPORT_FORMATS
         check_report_formats(formats)
-        workers = _parse_workers(args.workers)
     with _stage("data"):
         ds = load_or_generate(config)
     with _stage("train"):
-        report = run_compare(config, ds, workers)
+        report = run_compare(config, ds)
     with _stage("report"):
         written = emit_report(report, config.output_dir, formats)
     for row in report.rows:
@@ -307,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--training-seeds", type=int, dest="training_seeds")
     p.add_argument("--arrangement-seed", type=int, dest="arrangement_seed")
     p.add_argument("--format", help="comma-separated: csv,markdown")
-    p.add_argument("--workers", help="processes for the fits (default: one per CPU); "
-                                     "2 or more run each fit at one BLAS thread")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("grid-search", help="tune conv filter counts on a grid")

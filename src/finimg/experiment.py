@@ -12,11 +12,11 @@ under one training seed, so run spread reflects the arrangement alone.
 Deterministic encodings repeat over training seeds train.seed+0..
 training_seeds-1 at arrangement seed 0, when ranking needs samples.
 
-run_compare runs a plan of two or more fits in spawned worker processes,
-one per usable CPU, each with one BLAS thread. Those fits equal a serial
-run at OPENBLAS_NUM_THREADS=1 bit for bit, whatever the worker or CPU
-count. A lone fit, or workers=1, runs in the calling process at its
-BLAS thread count, as finimg train does.
+On a machine with two or more usable CPUs, run_compare runs a plan of
+two or more fits in spawned worker processes, one per CPU, each with one
+BLAS thread. Those fits equal a serial run at OPENBLAS_NUM_THREADS=1 bit
+for bit, whatever the CPU count. A lone fit, or any plan on one CPU, runs
+in the calling process at its BLAS thread count, as finimg train does.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -502,52 +503,42 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
     return s.mean, s.stderr
 
 
-def pool_size(workers: int | None, n_fits: int) -> int:
-    """Processes for n_fits fits: one per usable CPU, at most one per fit
-    and at most workers (None: no cap beyond the CPUs)."""
-    if workers is not None and workers < 1:
-        raise ExperimentError(f"workers must be an integer >= 1, got {workers!r}")
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, n_fits, workers or cpus))
+def pool_size(n_fits: int) -> int:
+    """Processes for n_fits fits: one per usable CPU, at most one per fit."""
+    return max(1, min(len(os.sched_getaffinity(0)), n_fits))
 
 
-_SHARED: tuple = ()  # a pool worker's leading arguments, set once by _init_worker
+def run_pooled(fn, tasks: list[tuple], workers: int) -> list:
+    """fn(*task) for each task in spawned worker processes that run numpy
+    at one BLAS thread; results in task order.
 
-
-def _init_worker(*shared) -> None:
-    global _SHARED
-    _SHARED = shared
-
-
-def _call_shared(fn, task: tuple):
-    return fn(*_SHARED, *task)
-
-
-def run_pooled(fn, tasks: list[tuple], workers: int, *shared) -> list:
-    """fn(*shared, *task) for each task in spawned worker processes that
-    run numpy at one BLAS thread; results in task order.
-
-    shared is sent once per worker. The first task in order that raises
-    re-raises here; pending tasks are cancelled and every worker has
-    exited when this returns or raises. fn must be importable by name,
-    and a script that calls this must start under `if __name__ ==
-    "__main__":`, since each worker imports the script's module.
+    Each task's arguments travel with its call, so a worker's start-up
+    payload stays small: a worker that dies while starting (as one does
+    when it re-runs an unguarded calling script) breaks the pool with an
+    ExperimentError instead of blocking the parent's write to it. The
+    first task in order that raises re-raises here; pending tasks are
+    cancelled and every worker has exited when this returns or raises.
+    fn must be importable by name.
     """
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
-                               initializer=_init_worker, initargs=shared)
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"))
     try:
         # numpy reads the variable when a worker imports it; every worker
         # starts inside this block, since submit starts them.
         saved = os.environ.get("OPENBLAS_NUM_THREADS")
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
-            futures = [pool.submit(_call_shared, fn, task) for task in tasks]
+            futures = [pool.submit(fn, *task) for task in tasks]
         finally:
             if saved is None:
                 del os.environ["OPENBLAS_NUM_THREADS"]
             else:
                 os.environ["OPENBLAS_NUM_THREADS"] = saved
-        return [f.result() for f in futures]
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            raise ExperimentError(
+                "a worker process exited abruptly; a script that calls run_compare "
+                'must do so under `if __name__ == "__main__":`') from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -559,22 +550,21 @@ def _fit_record(config: ExperimentConfig, ds: Dataset, method: str, run_index: i
     return replace(record, run_index=run_index)
 
 
-def run_compare(config: ExperimentConfig, ds: Dataset | None = None,
-                workers: int | None = None) -> ExperimentReport:
+def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> ExperimentReport:
     """The full protocol: every configured method, significance, ranking.
 
-    The fits run in pool_size(workers, fits) processes: in this process
-    when that is 1, else through run_pooled.
+    The fits run in pool_size(fits) processes: in this process when that
+    is 1, else through run_pooled.
     """
     plan = fit_plan(config)
-    n = pool_size(workers, len(plan))
     if ds is None:
         ds = load_or_generate(config)
     check_input_shapes(config, ds)
+    n = pool_size(len(plan))
     if n == 1:
         fitted = [_fit_record(config, ds, *entry) for entry in plan]
     else:
-        fitted = run_pooled(_fit_record, plan, n, config, ds)
+        fitted = run_pooled(_fit_record, [(config, ds, *entry) for entry in plan], n)
     records: dict[str, list[RunRecord]] = {method: [] for method in config.methods}
     for record in fitted:
         records[record.method].append(record)

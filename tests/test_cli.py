@@ -12,6 +12,10 @@ from finimg.nnet import save_arrays
 from finimg.schema import FUNDAMENTAL_SECTIONS
 
 
+# compare runs its fits in process: these tests check what the CLI writes.
+pytestmark = pytest.mark.usefixtures("one_cpu")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -306,32 +310,6 @@ def test_compare_rejects_an_unknown_report_format_before_training(tmp_path, synt
     assert "error [config] unknown report format 'md'" in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "x"])
-def test_compare_rejects_bad_workers_at_config_stage(tmp_path, capsys, value):
-    # The data files do not exist: a [data] error would mean they were read first.
-    out = tmp_path / "cmp"
-    code = run_cli("compare", "--data", str(tmp_path / "none.csv"),
-                   "--schema", str(tmp_path / "none_schema.csv"), "--workers", value,
-                   "--out", str(out))
-    assert code == 2
-    assert f"error [config] --workers must be an integer >= 1, got '{value}'" in \
-        capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_compare_workers_flag_reaches_run_compare(tmp_path, synth_dir, monkeypatch):
-    seen = []
-    real = experiment.run_compare
-    monkeypatch.setattr("finimg.cli.run_compare",
-                        lambda config, ds, workers: seen.append(workers) or real(config, ds, workers))
-    for flags in ((), ("--workers", "1")):
-        code = run_cli("compare", "--data", str(synth_dir / "data.csv"),
-                       "--schema", str(synth_dir / "schema.csv"), "--methods", "cca,wcr",
-                       "--runs", "2", "--epochs", "1", *flags, "--out", str(tmp_path / "cmp"))
-        assert code == 0
-    assert seen == [None, 1]
 
 
 @pytest.mark.parametrize("flags, message", [

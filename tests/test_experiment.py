@@ -39,6 +39,9 @@ from finimg.nnet import DivergenceError, InputTooSmallError, SpecError, TrainCon
 from finimg.schema import FUNDAMENTAL_SECTIONS, SECTION_LABELS
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
+# Multi-fit run_compare calls run in process unless a test asks for two CPUs.
+pytestmark = pytest.mark.usefixtures("one_cpu")
+
 SMALL = {s: 11 for s in FUNDAMENTAL_SECTIONS}  # 66 features, reduced target 64
 
 
@@ -671,29 +674,24 @@ def test_run_compare_checks_every_input_shape_before_training(monkeypatch):
     assert calls == []
 
 
-def test_pool_size_is_capped_by_cpus_fits_and_workers(monkeypatch):
+def test_pool_size_is_capped_by_cpus_and_fits(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert pool_size(None, 15) == 8
-    assert pool_size(None, 3) == 3
-    assert pool_size(2, 15) == 2
-    assert pool_size(20, 15) == 8
-    assert pool_size(None, 1) == pool_size(4, 1) == 1
+    assert pool_size(15) == 8
+    assert pool_size(3) == 3
+    assert pool_size(1) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert pool_size(None, 15) == pool_size(4, 15) == 1
-    for bad in (0, -1):
-        with pytest.raises(ExperimentError, match=f"workers must be an integer >= 1, got {bad}"):
-            pool_size(bad, 15)
+    assert pool_size(15) == 1
 
 
 @pytest.mark.parametrize("blas_threads", [None, "3"])
 def test_pooled_compare_restores_the_environment_and_leaves_no_process(
-        dataset, monkeypatch, blas_threads):
+        dataset, monkeypatch, two_cpus, blas_threads):
     if blas_threads is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     before = dict(os.environ)
-    report = run_compare(small_config(methods=("mlp", "cca")), dataset, workers=2)
+    report = run_compare(small_config(methods=("mlp", "cca")), dataset)
     assert [r.method for recs in report.records.values() for r in recs] == ["mlp", "cca"]
     assert dict(os.environ) == before
     assert multiprocessing.active_children() == []
@@ -705,12 +703,14 @@ def test_pooled_compare_restores_the_environment_and_leaves_no_process(
      DivergenceError),
     (dict(test_year=2014), ExperimentError),
 ], ids=["diverging", "no_training_rows"])
-def test_a_failing_fit_raises_the_same_error_pooled_and_in_process(dataset, settings, error):
+def test_a_failing_fit_raises_the_same_error_pooled_and_in_process(
+        dataset, monkeypatch, settings, error):
     config = small_config(methods=("mlp", "cca", "wcr"), **settings)
     raised = []
-    for workers in (1, 2):
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         with pytest.raises(error) as info:
-            run_compare(config, dataset, workers=workers)
+            run_compare(config, dataset)
         raised.append((type(info.value), str(info.value)))
         assert multiprocessing.active_children() == []
     assert raised[0] == raised[1]
@@ -727,23 +727,34 @@ def _python(script: str, blas_threads: str) -> str:
     return done.stdout
 
 
-# A fit that ends each epoch on a short batch. Run in process on a 2-CPU
-# machine it gives 71622fc6c1ba... at 2 BLAS threads and this hash at 1.
-TAIL_BATCH_HVA_HASH = "5a1f9fccf09d06acf7ebde5eb2d51cc21264773ef0839e5f4b50307e9516e2af"
+# A fit that ends each epoch on a short batch, by the BLAS thread count it
+# runs at (OpenBLAS on x86-64).
+TAIL_BATCH_HVA_HASH = {
+    "1": "5a1f9fccf09d06acf7ebde5eb2d51cc21264773ef0839e5f4b50307e9516e2af",
+    "2": "71622fc6c1ba9ebdedc5d655fdfed1c43a60eba0ce07b98626f10c8f43f62f25",
+}
 
 
-def test_a_pooled_fit_equals_the_one_thread_serial_fit_whatever_the_parent_threads():
-    setup = "from support import parameter_hash, tail_batch_case\nconfig, ds = tail_batch_case()\n"
-    pooled = _python(setup + "from finimg.experiment import run_pooled\n"
-                     "print(run_pooled(parameter_hash, [('hva', 7)], 1, config, ds)[0])", "2")
-    serial = _python(setup + "print(parameter_hash(config, ds, 'hva', 7))", "1")
-    assert pooled.strip() == serial.strip() == TAIL_BATCH_HVA_HASH
+def test_a_pooled_fit_has_one_thread_bits_and_an_in_process_fit_those_of_its_thread_count():
+    # At 2 threads, as by default on a 2-CPU machine, the pooled fit keeps
+    # the 1-thread bits while the same fit in process (a lone-fit compare,
+    # a one-CPU pool size, finimg train) takes the 2-thread bits.
+    setup = ("from support import parameter_hash, tail_batch_case\n"
+             "config, ds = tail_batch_case()\n")
+    fit = "parameter_hash(config, ds, 'hva', 7)"
+    pooled, in_process = _python(
+        setup + "from finimg.experiment import run_pooled\n"
+        f"print(run_pooled(parameter_hash, [(config, ds, 'hva', 7)], 1)[0])\nprint({fit})",
+        "2").split()
+    serial = _python(setup + f"print({fit})", "1").strip()
+    assert pooled == serial == TAIL_BATCH_HVA_HASH["1"]
+    assert in_process == TAIL_BATCH_HVA_HASH["2"]
 
 
-def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path):
-    # 120 training rows at batch 64: each epoch ends on a 56-row batch. On a
-    # one-CPU machine both worker counts resolve to one in-process run.
+def test_report_bytes_do_not_depend_on_the_pool_size_at_one_blas_thread(tmp_path):
+    # 120 training rows at batch 64: each epoch ends on a 56-row batch.
     script = f"""
+import os
 from finimg.experiment import ExperimentConfig, emit_report, run_compare
 from finimg.nnet import TrainConfig
 from finimg.schema import FUNDAMENTAL_SECTIONS
@@ -753,11 +764,36 @@ spec = SyntheticSpec(n_per_year=60, years=(2014, 2016), seed=0,
 config = ExperimentConfig(synthetic=spec, methods=("mlp", "cnn1d", "cca", "wcr", "hva"),
                           randomization_runs=2, training_seeds=2,
                           train=TrainConfig(epochs=2, batch_size=64))
-for workers in (1, 2):
-    emit_report(run_compare(config, workers=workers), {str(tmp_path)!r} + f"/w{{workers}}")
+for cpus in (1, 2):
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+    emit_report(run_compare(config), {str(tmp_path)!r} + f"/c{{cpus}}")
 """
     _python(script, "1")
-    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    names = sorted(p.name for p in (tmp_path / "c1").iterdir())
     assert names == ["pairwise_p.csv", "report.csv", "report.md", "runs.csv"]
     for name in names:
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+        assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
+
+
+def test_an_unguarded_script_fails_instead_of_hanging(tmp_path):
+    # Each spawned worker re-runs this script, whose top-level run_compare
+    # cannot start processes there, so the worker dies while starting.
+    script = tmp_path / "unguarded.py"
+    script.write_text("""
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from finimg.experiment import ExperimentConfig, run_compare
+from finimg.nnet import TrainConfig
+from finimg.schema import FUNDAMENTAL_SECTIONS
+from finimg.synthetic import SyntheticSpec
+spec = SyntheticSpec(n_per_year=60, years=(2014, 2016), seed=0,
+                     section_counts={s: 11 for s in FUNDAMENTAL_SECTIONS})
+run_compare(ExperimentConfig(synthetic=spec, methods=("mlp", "cca"),
+                             train=TrainConfig(epochs=1, batch_size=64)))
+""")
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert done.returncode == 1
+    assert ('ExperimentError: a worker process exited abruptly; a script that calls '
+            'run_compare must do so under `if __name__ == "__main__":`') in done.stderr
