@@ -74,15 +74,16 @@ def _parse_years(text: str) -> tuple[int, int]:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the config-driven subcommands; each dest is its config key."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--data", help="data CSV path")
     p.add_argument("--schema", help="schema CSV path")
     p.add_argument("--test-year", type=int, dest="test_year")
-    p.add_argument("--seed", type=int, help="training seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--seed", type=int, dest="train.seed", metavar="SEED", help="training seed")
+    p.add_argument("--epochs", type=int, dest="train.epochs", metavar="EPOCHS")
+    p.add_argument("--lr", type=float, dest="train.learning_rate", metavar="LR")
+    p.add_argument("--batch", type=int, dest="train.batch_size", metavar="BATCH")
+    p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -94,37 +95,23 @@ def _load_config_file(path: str | None) -> dict:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    if not isinstance(raw.get("train", {}), dict):  # the CLI's epochs default goes into it
+        raise ValueError(f"{path}: train must be a JSON object")
     return raw
 
 
 # The CLI trains for fewer epochs than TrainConfig's default of 100.
 CLI_EPOCHS = 30
 
-# Flag dest -> config key; a dotted key lives in that nested block.
-_FLAG_KEYS = {
-    "data": "data",
-    "schema": "schema",
-    "test_year": "test_year",
-    "methods": "methods",
-    "runs": "randomization_runs",
-    "training_seeds": "training_seeds",
-    "arrangement_seed": "arrangement_seed",
-    "out": "output_dir",
-    "lr": "train.learning_rate",
-    "epochs": "train.epochs",
-    "batch": "train.batch_size",
-    "seed": "train.seed",
-}
-
-
 def _experiment_config(args) -> ExperimentConfig:
-    """The config file's values with the given flags over them (flags win)."""
+    """The config file's values with the given flags over them (flags win); a
+    flag's dest is its config key, and a dotted one names a nested block's key."""
     raw = _load_config_file(args.config)
     raw["train"] = {"epochs": CLI_EPOCHS, **raw.get("train", {})}
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            block, _, name = key.rpartition(".")
+    config_keys = {f.name for f in fields(ExperimentConfig)}
+    for key, value in vars(args).items():
+        block, _, name = key.rpartition(".")
+        if value is not None and (block or name) in config_keys:
             (raw[block] if block else raw)[name] = value
     return ExperimentConfig.from_dict(raw)
 
@@ -294,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run the full encoding comparison protocol")
     _add_common_flags(p)
     p.add_argument("--methods", type=lambda s: s.split(","))
-    p.add_argument("--runs", type=int, help="randomization runs per randomized method")
+    p.add_argument("--runs", type=int, dest="randomization_runs", metavar="RUNS",
+                   help="randomization runs per randomized method")
     p.add_argument("--training-seeds", type=int, dest="training_seeds")
     p.add_argument("--arrangement-seed", type=int, dest="arrangement_seed")
     p.add_argument("--format", help="comma-separated: csv,markdown")

@@ -153,8 +153,8 @@ def default_spec(method: str, schema: FeatureSchema, seed: int = 0) -> Arrangeme
     layout is two rows, and sa/ra reuse the chunked canvas so rectangular
     methods share one image size (18x27 for the 332-feature schema,
     8x16 for the 69-ratio schema)."""
-    counts = schema.section_counts()
-    side = max(4, math.isqrt(max(counts.values()) - 1) + 1)
+    largest = max(sl.stop - sl.start for sl in schema.section_slices().values())
+    side = max(4, math.isqrt(largest - 1) + 1)
     n_sections = len(schema.section_order)
     layout = (2, (n_sections + 1) // 2) if n_sections > 1 else (1, 1)
     return ArrangementSpec(
@@ -168,18 +168,7 @@ def default_spec(method: str, schema: FeatureSchema, seed: int = 0) -> Arrangeme
 
 
 def arrange(schema: FeatureSchema, spec: ArrangementSpec) -> np.ndarray:
-    """The index map of spec.method; randomized methods use spec.seed."""
-    if spec.method == "sa":
-        return sequential_arrange(len(schema), spec.rows, spec.cols)
-    if spec.method == "cca":
-        return category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout)
-    if spec.method == "hva":
-        return hilbert_arrange(len(schema))
-    return randomize_arrangement(schema, spec)
-
-
-def randomize_arrangement(schema: FeatureSchema, spec: ArrangementSpec) -> np.ndarray:
-    """Randomized controls of the deterministic arrangements, seeded by spec.seed.
+    """The index map of spec.method; randomized methods draw from spec.seed.
 
     ra:  one uniform permutation of all features, then sequential packing.
     wcr: an independent uniform permutation inside each section chunk.
@@ -188,21 +177,21 @@ def randomize_arrangement(schema: FeatureSchema, spec: ArrangementSpec) -> np.nd
     """
     rng = np.random.default_rng(spec.seed)
     d = len(schema)
-    if spec.method == "ra":
+    if spec.method in ("sa", "ra"):
         prov = sequential_arrange(d, spec.rows, spec.cols)
+    elif spec.method in ("hva", "hvr"):
+        prov = hilbert_arrange(d)
+    else:
+        slots = rng.permutation(len(schema.section_order)) if spec.method == "bcr" else None
+        prov = category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout, slots)
+    if spec.method in ("ra", "hvr"):
         return _permute_features(prov, rng.permutation(d))
-    if spec.method == "hvr":
-        return _permute_features(hilbert_arrange(d), rng.permutation(d))
     if spec.method == "wcr":
         perm = np.arange(d)
         for sl in schema.section_slices().values():
             perm[sl] = rng.permutation(np.arange(sl.start, sl.stop))
-        prov = category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout)
         return _permute_features(prov, perm)
-    if spec.method == "bcr":
-        return category_chunk_arrange(schema, spec.chunk_dims, spec.chunk_layout,
-                                      slots=rng.permutation(len(schema.section_order)))
-    raise ValueError(f"{spec.method!r} is not a randomized method")
+    return prov
 
 
 def _permute_features(prov: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -77,7 +78,8 @@ from .nnet import (
     save_arrays,
 )
 from .nnet.train import train
-from .stats import ZeroVarianceError, one_sample_t_greater, pairwise_t_bonferroni, summarize
+from .stats import (SIGNIFICANCE, ZeroVarianceError, one_sample_t_greater,
+                    pairwise_t_bonferroni, summarize)
 from .synthetic import SyntheticSpec, generate_synthetic
 
 METHOD_TITLES = {
@@ -257,12 +259,9 @@ def load_or_generate(config: ExperimentConfig) -> Dataset:
 
 def largest_square_target(d: int) -> int:
     """Largest 4**n not exceeding d."""
-    n = 0
-    while 4 ** (n + 1) <= d:
-        n += 1
-    if n == 0:
+    if d < 4:
         raise ExperimentError(f"{d} features cannot fill any Hilbert square")
-    return 4**n
+    return 4 ** ((d.bit_length() - 1) // 2)
 
 
 def autoencoder_code_dim(config: ExperimentConfig, d: int) -> int:
@@ -409,21 +408,39 @@ def save_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
     save_arrays(path, payload)
 
 
+class _Checkpoint(dict):
+    """A checkpoint's arrays by key; reading a missing key names the file and the key."""
+
+    def __init__(self, path: str | Path):
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                super().__init__(archive)
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+            raise ExperimentError(f"{path}: not an npz checkpoint: {exc}") from None
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise ExperimentError(f"{self.path}: checkpoint has no key {key!r}")
+
+
 def load_pipeline(path: str | Path) -> FittedPipeline:
     """The pipeline a checkpoint holds; its record of feature names marks the format."""
-    with np.load(path, allow_pickle=False) as data:
+    data = _Checkpoint(path)
+    try:
         meta = json.loads(str(data["meta_json"]))
-        if "features" not in meta:
-            raise ExperimentError(f"{path}: checkpoint records no feature names; retrain it")
-        pipe = FittedPipeline(
-            method=meta["method"],
-            features=tuple(meta["features"]),
-            keep=data["keep"],
-            network=network_from_arrays(data, "net_"),
-            provenance=data["provenance"] if "provenance" in data else None,
-            autoencoder=network_from_arrays(data, "ae_") if "ae_spec_json" in data else None,
-        )
-        standardizer = {"mean": data["mean"], "stddev": data["stddev"]}
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"{path}: checkpoint key 'meta_json' is not JSON: {exc}") from None
+    if "features" not in meta:
+        raise ExperimentError(f"{path}: checkpoint records no feature names; retrain it")
+    pipe = FittedPipeline(
+        method=meta["method"],
+        features=tuple(meta["features"]),
+        keep=data["keep"],
+        network=network_from_arrays(data, "net_"),
+        provenance=data.get("provenance"),
+        autoencoder=network_from_arrays(data, "ae_") if "ae_spec_json" in data else None,
+    )
+    standardizer = {"mean": data["mean"], "stddev": data["stddev"]}
     _check_pipeline(pipe, standardizer, path)
     pipe.standardizer = StandardizationParams(**standardizer)
     return pipe
@@ -588,7 +605,7 @@ def run_compare(config: ExperimentConfig, ds: Dataset | None = None) -> Experime
                         _, p_vs[control] = one_sample_t_greater(control_accs, headline.accuracy)
                     except ZeroVarianceError:
                         pass  # degenerate control sample, no verdict
-            significant = all(p < 0.05 for p in p_vs.values()) if p_vs else None
+            significant = all(p < SIGNIFICANCE for p in p_vs.values()) if p_vs else None
             rows.append(ReportRow(
                 method, headline.accuracy, None, headline.cond_notch, None,
                 len(recs), p_vs, significant))
@@ -684,7 +701,8 @@ def emit_report(report: ExperimentReport, out_dir: str | Path,
                 f"| {fmt_stat(row.notch_mean, row.notch_stderr)} |"
             )
         lines.append("")
-        lines.append("`*` marks encodings one-sidedly above their randomized control at p < 0.05.")
+        lines.append("`*` marks encodings one-sidedly above their randomized control "
+                     f"at p < {SIGNIFICANCE}.")
         if report.ranking_text:
             lines += ["", f"Ranking groups (Bonferroni-adjusted): {report.ranking_text}"]
         for study, (baseline, heading, titles) in SIDE_STUDIES.items():

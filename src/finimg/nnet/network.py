@@ -107,10 +107,6 @@ class NetworkSpec:
             shapes.append(_propagate(shapes[-1], layer, i))
         return shapes[1:]
 
-    def output_shape(self) -> tuple[int, ...]:
-        shapes = self.layer_shapes()
-        return shapes[-1] if shapes else self.input_shape
-
     def parameter_count(self) -> int:
         inputs = (self.input_shape, *self.layer_shapes())
         return sum(math.prod(s) for shape, layer in zip(inputs, self.layers)

@@ -27,8 +27,8 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must not be negative")
+        if not 0 <= self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch size >= 1")
         if self.optimizer not in ("sgd", "adam"):

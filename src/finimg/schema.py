@@ -8,7 +8,9 @@ contiguously and the sections appearing in their fixed statement order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 # Each kind's sections in canonical statement order, one row per section:
@@ -51,6 +53,7 @@ class FeatureSchema:
 
     features: tuple[tuple[str, str], ...]
     dataset_kind: str
+    _slices: dict[str, slice] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dataset_kind not in SECTION_LABELS:
@@ -58,28 +61,29 @@ class FeatureSchema:
         labels = SECTION_LABELS[self.dataset_kind]
         if not self.features:
             raise SchemaError("schema has no features")
-        names = [name for name, _ in self.features]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.features):
             raise SchemaError("feature names are not unique")
-        seen = []
-        for name, section in self.features:
+        runs, start = [], 0  # one pass over the runs of equal labels: checks and slices
+        for section, group in groupby(self.features, key=itemgetter(1)):
+            run = list(group)
             if section not in labels:
                 raise SchemaError(
-                    f"feature {name!r} has unknown section {section!r} for "
+                    f"feature {run[0][0]!r} has unknown section {section!r} for "
                     f"{self.dataset_kind} data"
                 )
-            if not seen or seen[-1] != section:
-                seen.append(section)
-        if len(set(seen)) != len(seen):
+            runs.append((section, slice(start, start + len(run))))
+            start += len(run)
+        slices = dict(runs)
+        if len(slices) != len(runs):
             raise SchemaError("features of one section must be contiguous")
         # Sections may be a subset of the canonical list (feature reduction
         # can empty one out) but must keep the canonical statement order.
-        canonical_pos = {label: i for i, label in enumerate(labels)}
-        positions = [canonical_pos[s] for s in seen]
+        positions = [labels.index(s) for s in slices]
         if positions != sorted(positions):
             raise SchemaError(
-                f"sections must follow the canonical order {labels}, got {tuple(seen)}"
+                f"sections must follow the canonical order {labels}, got {tuple(slices)}"
             )
+        object.__setattr__(self, "_slices", slices)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -89,32 +93,13 @@ class FeatureSchema:
         return tuple(name for name, _ in self.features)
 
     @property
-    def sections(self) -> tuple[str, ...]:
-        """Section labels in feature order (one entry per feature)."""
-        return tuple(section for _, section in self.features)
-
-    @property
     def section_order(self) -> tuple[str, ...]:
         """Sections present in this schema, in canonical statement order."""
-        present = {section for _, section in self.features}
-        return tuple(label for label in SECTION_LABELS[self.dataset_kind] if label in present)
-
-    def section_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in self.section_order}
-        for _, section in self.features:
-            counts[section] += 1
-        return counts
+        return tuple(self._slices)
 
     def section_slices(self) -> dict[str, slice]:
-        """Index range of each section within the feature order."""
-        out = {}
-        start = 0
-        sections = self.sections
-        for label in self.section_order:
-            count = sections.count(label)
-            out[label] = slice(start, start + count)
-            start += count
-        return out
+        """Index range of each present section within the feature order."""
+        return dict(self._slices)
 
 
 def build_schema(kind: str, counts: dict[str, int] | None = None) -> FeatureSchema:
@@ -181,51 +166,25 @@ class UnknownRatingError(ValueError):
     """Raised for rating strings outside the 24-entry mapping."""
 
 
-# Agency rating strings -> the 12 risk classes (0 best .. 11 worst).
-RATING_TO_CLASS = {
-    "AAA": 0,
-    "AA+": 0,
-    "AA": 1,
-    "AA-": 1,
-    "A+": 2,
-    "A": 3,
-    "A-": 4,
-    "BBB+": 5,
-    "BBB": 6,
-    "BBB-": 7,
-    "BB+": 8,
-    "BB": 9,
-    "BB-": 9,
-    "B+": 10,
-    "B": 10,
-    "B-": 10,
-    "CCC+": 11,
-    "CCC": 11,
-    "CCC-": 11,
-    "CC": 11,
-    "C": 11,
-    "D": 11,
-    "SD": 11,
-    "N.M.": 11,
-}
-
-# One representative rating string per class, used when writing CSV files.
-CLASS_TO_RATING = {
-    0: "AAA",
-    1: "AA",
-    2: "A+",
-    3: "A",
-    4: "A-",
-    5: "BBB+",
-    6: "BBB",
-    7: "BBB-",
-    8: "BB+",
-    9: "BB",
-    10: "B",
-    11: "CCC",
-}
-
-N_CLASSES = 12
+# The 12 risk classes, 0 best .. 11 worst, each with its agency rating
+# strings; the first string of a class is the one written to CSV files.
+RATING_CLASSES = (
+    ("AAA", "AA+"),
+    ("AA", "AA-"),
+    ("A+",),
+    ("A",),
+    ("A-",),
+    ("BBB+",),
+    ("BBB",),
+    ("BBB-",),
+    ("BB+",),
+    ("BB", "BB-"),
+    ("B", "B+", "B-"),
+    ("CCC", "CCC+", "CCC-", "CC", "C", "D", "SD", "N.M."),
+)
+RATING_TO_CLASS = {rating: k for k, ratings in enumerate(RATING_CLASSES) for rating in ratings}
+CLASS_TO_RATING = tuple(ratings[0] for ratings in RATING_CLASSES)
+N_CLASSES = len(RATING_CLASSES)
 
 
 def map_rating(raw: str) -> int:

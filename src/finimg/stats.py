@@ -12,6 +12,9 @@ from itertools import combinations
 
 import numpy as np
 
+# The level of every test: the one-sided verdicts and the pairwise Bonferroni family.
+SIGNIFICANCE = 0.05
+
 
 class InsufficientSamplesError(ValueError):
     """Raised when a statistic needs more samples than were given."""
@@ -40,34 +43,22 @@ def summarize(samples) -> SampleSummary:
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (Lentz's method)."""
     tiny = 1e-300
+
+    def clamp(v: float) -> float:  # NaN passes through
+        return tiny if abs(v) < tiny else v
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / clamp(1.0 - qab * x / qap)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / clamp(1.0 + aa * d)
+            c = clamp(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -145,17 +136,13 @@ class RankGrouping:
     groups: tuple[tuple[int, int], ...]
 
     def as_text(self) -> str:
-        parts = []
-        for start, stop in self.groups:
-            inner = " ".join(self.ranking[start : stop + 1])
-            parts.append(f"[{inner}]")
-        return " ".join(parts)
+        return " ".join(f"[{' '.join(self.ranking[start : stop + 1])}]"
+                        for start, stop in self.groups)
 
 
-def pairwise_t_bonferroni(
-    groups: dict[str, list[float]], alpha: float = 0.05
-) -> tuple[dict[tuple[str, str], float], RankGrouping]:
-    """Welch tests on every pair at the Bonferroni-adjusted threshold.
+def pairwise_t_bonferroni(groups: dict[str, list[float]],
+                          ) -> tuple[dict[tuple[str, str], float], RankGrouping]:
+    """Welch tests on every pair at the Bonferroni-adjusted SIGNIFICANCE.
 
     Methods are ranked by mean, best first. Every non-significant pair is
     covered by a contiguous group spanning the two methods; maximal such
@@ -166,24 +153,19 @@ def pairwise_t_bonferroni(
         raise InsufficientSamplesError("need at least 2 groups")
     labels = sorted(groups, key=lambda k: -float(np.mean(groups[k])))
     k = len(labels)
-    threshold = alpha / math.comb(k, 2)
+    threshold = SIGNIFICANCE / math.comb(k, 2)
     p_matrix: dict[tuple[str, str], float] = {}
     for a, b in combinations(labels, 2):
         _, p = welch_t_test(groups[a], groups[b])
-        p_matrix[(a, b)] = p
-        p_matrix[(b, a)] = p
-    ranges = []
-    for i, j in combinations(range(k), 2):
-        if p_matrix[(labels[i], labels[j])] >= threshold:
-            ranges.append((i, j))
+        p_matrix[(a, b)] = p_matrix[(b, a)] = p
+    ranges = [(i, j) for i, j in combinations(range(k), 2)
+              if p_matrix[(labels[i], labels[j])] >= threshold]
     maximal = [
         (i, j)
         for i, j in ranges
         if not any((i2 <= i and j <= j2) and (i2, j2) != (i, j) for i2, j2 in ranges)
     ]
-    covered = set()
-    for i, j in maximal:
-        covered.update(range(i, j + 1))
+    covered = {x for i, j in maximal for x in range(i, j + 1)}
     singletons = [(i, i) for i in range(k) if i not in covered]
     all_groups = tuple(sorted(maximal + singletons))
     return p_matrix, RankGrouping(ranking=tuple(labels), groups=all_groups)

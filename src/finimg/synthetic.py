@@ -45,8 +45,8 @@ class SyntheticSpec:
             raise ValueError("years range is reversed")
         if not 0.0 <= self.factor_strength <= 1.0:
             raise ValueError("factor_strength must be in [0, 1]")
-        if self.noise < 0.0:
-            raise ValueError("noise must be non-negative")
+        if not 0.0 <= self.noise < np.inf:  # NaN fails too
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
         self.schema()  # a bad section count fails here, not when generating

@@ -102,9 +102,9 @@ def test_criterion_3_gradient_fidelity():
     for kind, spec in per_kind.items():
         x = rng.normal(size=(3,) + spec.input_shape)
         if spec.loss == "cross_entropy":
-            y = rng.integers(0, spec.output_shape()[0], size=3)
+            y = rng.integers(0, spec.layer_shapes()[-1][0], size=3)
         else:
-            y = rng.normal(size=(3,) + spec.output_shape())
+            y = rng.normal(size=(3,) + spec.layer_shapes()[-1])
         worst[kind] = gradient_check(spec, x, y, epsilon=1e-5,
                                      max_checks_per_param=None, seed=2)
     full = build_cnn2d(8, 8)

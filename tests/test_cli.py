@@ -392,3 +392,101 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_an_object_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text('["mlp"]\n', encoding="utf-8")
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error [config] {cfg_path}: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_a_non_finite_learning_rate_at_config_stage(tmp_path, synth_dir, capsys,
+                                                                  lr):
+    # It used to train until "[train] non-finite loss or gradient", naming no field.
+    out = tmp_path / "model"
+    code = run_cli("train", "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"), "--method", "mlp",
+                   "--epochs", "1", "--lr", lr, "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error [config] learning_rate must be finite and >= 0, got {lr} (in 'train')\n")
+    assert not out.exists()
+
+
+def test_synth_rejects_a_nan_noise_at_config_stage(tmp_path, capsys):
+    # It used to write a data.csv whose feature cells were all empty.
+    out = tmp_path / "synth"
+    code = run_cli("synth", "--n-per-year", "12", "--noise", "nan", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == "error [config] noise must be finite and >= 0, got nan\n"
+    assert not out.exists()
+
+
+def test_config_file_nan_noise_fails_at_config_stage(tmp_path, capsys):
+    # json reads NaN; the protocol used to run on all-NaN features at chance level.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"synthetic": {"n_per_year": 24, "noise": NaN}, "methods": ["mlp"]}',
+                        encoding="utf-8")
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error [config] noise must be finite and >= 0, got nan (in 'synthetic')\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_arrays(synth_dir, tmp_path_factory):
+    """The arrays of one trained cca checkpoint."""
+    out = tmp_path_factory.mktemp("model")
+    assert run_cli("train", "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"), "--method", "cca",
+                   "--epochs", "1", "--out", str(out)) == 0
+    with np.load(out / "model.npz", allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def evaluate_error(path, synth_dir, capsys) -> str:
+    capsys.readouterr()
+    code = run_cli("evaluate", "--model", str(path), "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"))
+    assert code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("keep", None, "checkpoint has no key 'keep'"),
+    ("meta_json", np.array('{"method": "cca",'), "checkpoint key 'meta_json' is not JSON: "
+     "Expecting property name enclosed in double quotes: line 1 column 18 (char 17)"),
+], ids=["missing_key", "malformed_meta"])
+def test_evaluate_names_the_checkpoint_and_key_it_cannot_read(tmp_path, synth_dir, capsys,
+                                                              checkpoint_arrays, key, value,
+                                                              message):
+    arrays = dict(checkpoint_arrays)
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = value
+    path = tmp_path / "model.npz"
+    save_arrays(path, arrays)
+    assert evaluate_error(path, synth_dir, capsys) == f"error [evaluate] {path}: {message}\n"
+
+
+def test_evaluate_names_a_checkpoint_that_is_not_an_npz(tmp_path, synth_dir, capsys):
+    path = tmp_path / "model.npz"
+    path.write_text("not a checkpoint\n", encoding="utf-8")
+    assert evaluate_error(path, synth_dir, capsys).startswith(
+        f"error [evaluate] {path}: not an npz checkpoint: ")
+
+
+@pytest.mark.parametrize("train", ["5", "null", "[1]"])
+def test_config_file_train_block_that_is_not_an_object_names_the_file(tmp_path, capsys, train):
+    # It used to fail with "'int' object is not a mapping", naming neither.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(f'{{"synthetic": {{}}, "methods": ["mlp"], "train": {train}}}',
+                        encoding="utf-8")
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error [config] {cfg_path}: train must be a JSON object\n"

@@ -200,6 +200,7 @@ def test_load_csv_rejects_non_finite_values_with_location(tmp_path, cells, messa
 @pytest.mark.parametrize("meta, message", [
     ("b,2015,7,BB", "column 3: quarter 7 outside 1..4"),
     ("b,2015,2,ZZ", "column 4: unknown rating 'ZZ'"),
+    ("b,20x6,2,BB", "bad period field: .* '20x6'"),
 ])
 def test_load_csv_rejects_bad_period_or_rating_with_location(tmp_path, meta, message):
     schema = tiny_schema()
@@ -209,6 +210,17 @@ def test_load_csv_rejects_bad_period_or_rating_with_location(tmp_path, meta, mes
                     encoding="utf-8")
     with pytest.raises(DatasetError, match=f"data.csv:3: {message}"):
         load_csv(path, schema)
+
+
+def test_load_csv_rejects_a_short_row_with_location(tmp_path):
+    schema = tiny_schema()
+    header = "id,year,quarter,rating," + ",".join(schema.names)
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\na,2015,1,AA+,1,2,3,4,5,6\n\nb,2015,2,BB,1,2,3,4,5\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path, schema)
+    assert str(info.value) == f"{path}:4: expected 10 fields, got 9"
 
 
 def test_load_csv_empty_cells_stay_missing(tmp_path):

@@ -16,7 +16,6 @@ from finimg.encoding import (
     grid_tensor,
     hilbert_arrange,
     image,
-    randomize_arrangement,
     reduce_features,
     render_pgm,
     save_grid,
@@ -156,7 +155,7 @@ def test_randomized_methods_deterministic_per_seed(method):
 def test_wcr_with_single_feature_chunks_equals_cca():
     schema = build_schema("fundamental", {s: 1 for s in FUNDAMENTAL_SECTIONS})
     spec = ArrangementSpec("wcr", chunk_dims=(1, 1), chunk_layout=(2, 3), seed=9)
-    wcr = randomize_arrangement(schema, spec)
+    wcr = arrange(schema, spec)
     cca = category_chunk_arrange(schema, (1, 1), (2, 3))
     assert np.array_equal(wcr, cca)
 

@@ -139,9 +139,9 @@ def test_gradients_match_finite_differences(name):
     rng = np.random.default_rng(42)
     x = rng.normal(size=(3,) + spec.input_shape)
     if spec.loss == "cross_entropy":
-        y = rng.integers(0, spec.output_shape()[0], size=3)
+        y = rng.integers(0, spec.layer_shapes()[-1][0], size=3)
     else:
-        y = rng.normal(size=(3,) + spec.output_shape())
+        y = rng.normal(size=(3,) + spec.layer_shapes()[-1])
     err = gradient_check(spec, x, y, epsilon=1e-5, max_checks_per_param=None, seed=1)
     assert err < 1e-4
 

@@ -238,7 +238,7 @@ def test_zero_weight_net_is_uniform():
 def test_autoencoder_shapes_and_training():
     spec = build_autoencoder(332, 69)
     assert spec.loss == "mse"
-    assert spec.output_shape() == (332,)
+    assert spec.layer_shapes()[-1] == (332,)
     net = Network(spec, seed=0)
     x = np.random.default_rng(0).normal(size=(4, 332))
     codes = x

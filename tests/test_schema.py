@@ -1,10 +1,14 @@
 import hashlib
+from itertools import groupby
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finimg.schema import (
     CANONICAL_COUNTS,
     FUNDAMENTAL_SECTIONS,
+    SECTION_LABELS,
     RATING_TO_CLASS,
     RATIO_CATEGORIES,
     FeatureSchema,
@@ -54,16 +58,18 @@ def test_map_rating_monotone_with_credit_quality():
 def test_canonical_fundamental_schema():
     schema = build_schema("fundamental")
     assert len(schema) == 332
-    counts = schema.section_counts()
-    assert tuple(counts[s] for s in FUNDAMENTAL_SECTIONS) == CANONICAL_COUNTS["fundamental"]
+    slices = schema.section_slices()
+    assert tuple(slices[s].stop - slices[s].start for s in FUNDAMENTAL_SECTIONS) == \
+        CANONICAL_COUNTS["fundamental"]
     assert schema.section_order == FUNDAMENTAL_SECTIONS
 
 
 def test_canonical_ratio_schema():
     schema = build_schema("ratio")
     assert len(schema) == 69
-    counts = schema.section_counts()
-    assert tuple(counts[c] for c in RATIO_CATEGORIES) == CANONICAL_COUNTS["ratio"]
+    slices = schema.section_slices()
+    assert tuple(slices[c].stop - slices[c].start for c in RATIO_CATEGORIES) == \
+        CANONICAL_COUNTS["ratio"]
 
 
 def test_schema_rejects_duplicate_names():
@@ -169,10 +175,46 @@ def test_build_schema_allows_an_empty_section():
     ("name,section\na,balance_sheet\nb,valuation\n", "",
      "section labels match no known dataset kind"),
     ("name,section\n", "", "schema has no features"),
-], ids=["one_field", "three_fields", "duplicate", "split_section", "no_kind", "empty"])
+    ("name,label\na,balance_sheet\n", "", "expected header 'name,section'"),
+    ("", "", "expected header 'name,section'"),
+], ids=["one_field", "three_fields", "duplicate", "split_section", "no_kind", "empty",
+        "bad_header", "no_header"])
 def test_load_schema_errors_name_the_file(tmp_path, text, where, message):
     path = tmp_path / "schema.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaError) as info:
         load_schema(path)
     assert str(info.value) == f"{path}{where}: {message}"
+
+
+@st.composite
+def labelled_runs(draw):
+    """A dataset kind and a feature list drawn as runs of its section labels;
+    neighbouring runs may repeat a label, and any order may come out."""
+    kind = draw(st.sampled_from(sorted(SECTION_LABELS)))
+    runs = draw(st.lists(st.tuples(st.sampled_from(SECTION_LABELS[kind]), st.integers(1, 4)),
+                         min_size=1, max_size=8))
+    labels = [label for label, length in runs for _ in range(length)]
+    return kind, tuple((f"f{i}", label) for i, label in enumerate(labels))
+
+
+@given(labelled_runs())
+def test_schema_accepts_exactly_contiguous_canonical_sections(drawn):
+    kind, features = drawn
+    sections = [label for label, _ in groupby(label for _, label in features)]
+    position = SECTION_LABELS[kind].index
+    valid = (len(set(sections)) == len(sections)
+             and [position(s) for s in sections] == sorted(map(position, sections)))
+    if not valid:
+        with pytest.raises(SchemaError):
+            FeatureSchema(features, kind)
+        return
+    schema = FeatureSchema(features, kind)
+    slices = schema.section_slices()
+    assert tuple(slices) == schema.section_order == tuple(sections)
+    start = 0
+    for label, sl in slices.items():
+        assert sl.start == start < sl.stop
+        assert {section for _, section in features[sl]} == {label}
+        start = sl.stop
+    assert start == len(features)

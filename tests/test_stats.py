@@ -135,7 +135,7 @@ def test_welch_against_scipy():
 def test_pairwise_comparison_count_and_threshold():
     rng = np.random.default_rng(7)
     groups = {k: list(rng.normal(0.5, 0.05, 10)) for k in "abcd"}
-    p_matrix, _ = pairwise_t_bonferroni(groups, alpha=0.05)
+    p_matrix, _ = pairwise_t_bonferroni(groups)
     # symmetric storage of k(k-1)/2 comparisons
     assert len(p_matrix) == 2 * math.comb(4, 2)
 
