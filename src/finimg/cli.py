@@ -28,10 +28,8 @@ from .encoding import (
 )
 from .experiment import (
     ALL_METHODS,
-    REPORT_FORMATS,
     ExperimentConfig,
     RunRecord,
-    check_report_formats,
     classifier_spec,
     emit_report,
     evaluate_pipeline,
@@ -196,14 +194,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     with _stage("config"):
         config = _experiment_config(args)
-        formats = tuple(args.format.split(",")) if args.format else REPORT_FORMATS
-        check_report_formats(formats)
     with _stage("data"):
         ds = load_or_generate(config)
     with _stage("train"):
         report = run_compare(config, ds)
     with _stage("report"):
-        written = emit_report(report, config.output_dir, formats)
+        written = emit_report(report, config.output_dir)
     for row in report.rows:
         print(f"{row.method:>14}: "
               f"{fmt_stat(row.accuracy_mean, row.accuracy_stderr, bool(row.significant))}")
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="randomization runs per randomized method")
     p.add_argument("--training-seeds", type=int, dest="training_seeds")
     p.add_argument("--arrangement-seed", type=int, dest="arrangement_seed")
-    p.add_argument("--format", help="comma-separated: csv,markdown")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("grid-search", help="tune conv filter counts on a grid")

@@ -28,7 +28,7 @@ import os
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -68,6 +68,7 @@ from .nnet import (
     MIN_SIDE,
     Network,
     NetworkSpec,
+    SpecError,
     TrainConfig,
     build_autoencoder,
     build_cnn1d,
@@ -104,11 +105,14 @@ SIDE_STUDIES = {
                     ("Reduced HVA accuracy", "Original HVA accuracy")),
     "autoencoder_sa": ("sa", "Auto-encoder study", ("Auto-encoder accuracy", "SA accuracy")),
 }
-REPORT_FORMATS = ("csv", "markdown")
 
 
 class ExperimentError(ValueError):
     """Raised for invalid experiment configurations."""
+
+
+class CheckpointError(ExperimentError, SpecError):
+    """A checkpoint network that cannot be rebuilt; the message names the file and the key."""
 
 
 def _fits(value, tp) -> bool:
@@ -127,7 +131,8 @@ def _fits(value, tp) -> bool:
 
 
 def _from_json(cls, raw, where: str = ""):
-    """The dataclass a JSON object describes; its keys are exactly fields of cls.
+    """The dataclass a JSON object describes; its keys are fields of cls, and
+    every field without a default.
 
     Each value must fit its field's type. Nested dataclasses are JSON
     objects and tuples are JSON arrays; errors name the dotted key, and a
@@ -138,6 +143,10 @@ def _from_json(cls, raw, where: str = ""):
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ExperimentError("unknown key " + ", ".join(repr(where + k) for k in unknown))
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ExperimentError("missing key " + ", ".join(repr(where + k) for k in missing))
     types = get_type_hints(cls)
     values = {}
     for key, value in raw.items():
@@ -408,6 +417,18 @@ def save_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
     save_arrays(path, payload)
 
 
+@dataclass(frozen=True)
+class _Meta:
+    """A checkpoint's meta_json; one without features predates feature records."""
+
+    method: str
+    features: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.method not in ALL_METHODS:
+            raise ExperimentError(f"unknown method {self.method!r}")
+
+
 class _Checkpoint(dict):
     """A checkpoint's arrays by key; reading a missing key names the file and the key."""
 
@@ -426,20 +447,22 @@ class _Checkpoint(dict):
 def load_pipeline(path: str | Path) -> FittedPipeline:
     """The pipeline a checkpoint holds; its record of feature names marks the format."""
     data = _Checkpoint(path)
+    text = str(data["meta_json"])
     try:
-        meta = json.loads(str(data["meta_json"]))
+        meta = _from_json(_Meta, json.loads(text), "meta_json.")
     except json.JSONDecodeError as exc:
         raise ExperimentError(f"{path}: checkpoint key 'meta_json' is not JSON: {exc}") from None
-    if "features" not in meta:
+    except ExperimentError as exc:
+        raise ExperimentError(f"{path}: checkpoint {exc}") from None
+    if meta.features is None:
         raise ExperimentError(f"{path}: checkpoint records no feature names; retrain it")
-    pipe = FittedPipeline(
-        method=meta["method"],
-        features=tuple(meta["features"]),
-        keep=data["keep"],
-        network=network_from_arrays(data, "net_"),
-        provenance=data.get("provenance"),
-        autoencoder=network_from_arrays(data, "ae_") if "ae_spec_json" in data else None,
-    )
+    try:
+        network = network_from_arrays(data, "net_")
+        autoencoder = network_from_arrays(data, "ae_") if "ae_spec_json" in data else None
+    except SpecError as exc:
+        raise CheckpointError(f"{path}: checkpoint {exc}") from None
+    pipe = FittedPipeline(meta.method, meta.features, data["keep"], network=network,
+                          provenance=data.get("provenance"), autoencoder=autoencoder)
     standardizer = {"mean": data["mean"], "stddev": data["stddev"]}
     _check_pipeline(pipe, standardizer, path)
     pipe.standardizer = StandardizationParams(**standardizer)
@@ -663,58 +686,47 @@ def write_table(path: str | Path, cls, rows, exclude: tuple[str, ...] = ()) -> P
     return Path(path)
 
 
-def check_report_formats(formats: tuple[str, ...]) -> None:
-    for fmt in formats:
-        if fmt not in REPORT_FORMATS:
-            raise ExperimentError(f"unknown report format {fmt!r}")
-
-
-def emit_report(report: ExperimentReport, out_dir: str | Path,
-                formats: tuple[str, ...] = REPORT_FORMATS) -> list[Path]:
-    """Write report files; byte-deterministic for identical inputs."""
+def emit_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
+    """Write report.csv, runs.csv, report.md and (with a ranking) pairwise_p.csv;
+    byte-deterministic for identical inputs."""
     if not report.rows:
         raise ExperimentError("report has no rows")
-    check_report_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    runs = [r for method in sorted(report.records) for r in report.records[method]]
+    written = [write_table(out / "report.csv", ReportRow, report.rows),
+               write_table(out / "runs.csv", RunRecord, runs)]
 
-    if "csv" in formats:
-        written.append(write_table(out / "report.csv", ReportRow, report.rows))
-        runs = [r for method in sorted(report.records) for r in report.records[method]]
-        written.append(write_table(out / "runs.csv", RunRecord, runs))
+    lines = [
+        "# Encoding method comparison",
+        "",
+        f"Config hash: `{report.config_hash}`; seeds: {json.dumps(report.seeds, sort_keys=True)}",
+        "",
+        "| Method | Accuracy | Notch Distance |",
+        "| --- | --- | --- |",
+    ]
+    for row in report.rows:
+        star = bool(row.significant)
+        title = METHOD_TITLES.get(row.method, row.method)
+        lines.append(
+            f"| {title} | {fmt_stat(row.accuracy_mean, row.accuracy_stderr, star)} "
+            f"| {fmt_stat(row.notch_mean, row.notch_stderr)} |"
+        )
+    lines.append("")
+    lines.append("`*` marks encodings one-sidedly above their randomized control "
+                 f"at p < {SIGNIFICANCE}.")
+    if report.ranking_text:
+        lines += ["", f"Ranking groups (Bonferroni-adjusted): {report.ranking_text}"]
+    for study, (baseline, heading, titles) in SIDE_STUDIES.items():
+        if study in report.records and baseline in report.records:
+            accs = (report.records[study][0].accuracy, report.records[baseline][0].accuracy)
+            lines += ["", f"## {heading}", "", "| {} | {} |".format(*titles), "| --- | --- |",
+                      "| {} | {} |".format(*map(fmt_stat, accs))]
+    path = out / "report.md"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written.append(path)
 
-    if "markdown" in formats:
-        lines = [
-            "# Encoding method comparison",
-            "",
-            f"Config hash: `{report.config_hash}`; seeds: {json.dumps(report.seeds, sort_keys=True)}",
-            "",
-            "| Method | Accuracy | Notch Distance |",
-            "| --- | --- | --- |",
-        ]
-        for row in report.rows:
-            star = bool(row.significant)
-            title = METHOD_TITLES.get(row.method, row.method)
-            lines.append(
-                f"| {title} | {fmt_stat(row.accuracy_mean, row.accuracy_stderr, star)} "
-                f"| {fmt_stat(row.notch_mean, row.notch_stderr)} |"
-            )
-        lines.append("")
-        lines.append("`*` marks encodings one-sidedly above their randomized control "
-                     f"at p < {SIGNIFICANCE}.")
-        if report.ranking_text:
-            lines += ["", f"Ranking groups (Bonferroni-adjusted): {report.ranking_text}"]
-        for study, (baseline, heading, titles) in SIDE_STUDIES.items():
-            if study in report.records and baseline in report.records:
-                accs = (report.records[study][0].accuracy, report.records[baseline][0].accuracy)
-                lines += ["", f"## {heading}", "", "| {} | {} |".format(*titles), "| --- | --- |",
-                          "| {} | {} |".format(*map(fmt_stat, accs))]
-        path = out / "report.md"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-
-    if report.ranking_p is not None and "csv" in formats:
+    if report.ranking_p is not None:
         labels = sorted({a for a, _ in report.ranking_p})
         pairs = [PairwiseP(a, b, report.ranking_p[(a, b)])
                  for a in labels for b in labels if a < b]

@@ -1,9 +1,13 @@
 """Canonical architectures for the rating classifiers and the auto-encoder.
 
 The convolutional stacks use two conv layers (64 then 32 filters, kernel
-3) each followed by a window-2 max pool, then two 128-unit dense layers.
-A pool is skipped when it would produce a zero-sized dimension, which
-happens on small grids such as 8x16 after the second convolution.
+3) each followed by a window-2 max pool and a ReLU, then two 128-unit
+dense layers. A pool is skipped when it would empty a dimension, as on
+an 8x16 grid after the second convolution. Pooling before the ReLU gives
+the bits of the reverse order on every non-NaN input at a quarter of the
+ReLU work: the max of the ReLUs is the ReLU of the max, and a window's
+gradient reaches the same first maximum (or nothing, if that max is not
+positive) either way.
 """
 from __future__ import annotations
 
@@ -64,11 +68,12 @@ def _build_cnn(spatial: tuple[int, ...], filters: tuple[int, int]) -> NetworkSpe
                 f"{'x'.join(map(str, sizes))} is smaller than kernel {KERNEL}"
             )
         conv = conv1d(f, KERNEL) if len(sizes) == 1 else conv2d(f, KERNEL, KERNEL)
-        layers += [conv, activation()]
+        layers.append(conv)
         sizes = tuple(n - KERNEL + 1 for n in sizes)
         if min(sizes) // 2 >= 1:
             layers.append(maxpool(2))
             sizes = tuple(n // 2 for n in sizes)
+        layers.append(activation())
     layers += [
         flatten(),
         dense(DENSE_UNITS), activation(),

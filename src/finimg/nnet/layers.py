@@ -108,13 +108,11 @@ class ReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: active in train mode only."""
+    """Inverted dropout: active in train mode only; NetworkSpec checks the rate."""
 
     name = "dropout"
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate {rate} outside [0, 1)")
         self.rate = rate
         self._mask = None
 

@@ -95,9 +95,8 @@ class NetworkSpec:
         if self.loss not in ("cross_entropy", "mse"):
             raise SpecError(f"unknown loss {self.loss!r}")
         self.layer_shapes()
-        if self.loss == "cross_entropy" and (
-            not self.layers or self.layers[-1].kind != "softmax_output"
-        ):
+        last = self.layers[-1].kind if self.layers else None
+        if self.loss == "cross_entropy" and last != "softmax_output":
             raise SpecError("cross-entropy networks must end in softmax_output")
 
     def layer_shapes(self) -> list[tuple[int, ...]]:
@@ -114,23 +113,15 @@ class NetworkSpec:
                    for s in _PARAM_SHAPES[layer.kind](shape, layer.args))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_shape": list(self.input_shape),
-                "layers": [{"kind": l.kind, "args": l.args} for l in self.layers],
-                "loss": self.loss,
-            },
-            sort_keys=True,
-        )
+        layers = [{"kind": l.kind, "args": l.args} for l in self.layers]
+        return json.dumps({"input_shape": list(self.input_shape), "layers": layers,
+                           "loss": self.loss}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> NetworkSpec:
         raw = json.loads(text)
-        return cls(
-            input_shape=tuple(raw["input_shape"]),
-            layers=tuple(LayerSpec(l["kind"], dict(l["args"])) for l in raw["layers"]),
-            loss=raw["loss"],
-        )
+        layers = tuple(LayerSpec(l["kind"], dict(l["args"])) for l in raw["layers"])
+        return cls(tuple(raw["input_shape"]), layers, raw["loss"])
 
 
 def _conv_len(length: int, kernel: int) -> int:
@@ -156,6 +147,10 @@ def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[in
     kind, args = layer.kind, layer.args
     if kind in ("conv1d", "conv2d") and args.get("padding") != "valid":
         raise SpecError(f"layer {index} ({kind}): unsupported padding {args.get('padding')!r}")
+    if kind == "activation" and args["kind"] != "relu":
+        raise SpecError(f"layer {index}: unsupported activation {args['kind']!r}")
+    if kind == "dropout" and not 0 <= args["rate"] < 1:
+        raise SpecError(f"layer {index}: dropout rate {args['rate']} outside [0, 1)")
     try:
         if kind == "dense":
             (d,) = shape
@@ -204,8 +199,6 @@ def _materialize(shape: tuple[int, ...], layer: LayerSpec, rng: np.random.Genera
     if kind == "dropout":
         return Dropout(args["rate"])
     if kind == "activation":
-        if args["kind"] != "relu":
-            raise SpecError(f"unsupported activation {args['kind']!r}")
         return ReLU()
     if kind == "flatten":
         return Flatten()
@@ -213,17 +206,7 @@ def _materialize(shape: tuple[int, ...], layer: LayerSpec, rng: np.random.Genera
 
 
 class Network:
-    """A materialized NetworkSpec: layers with live parameters.
-
-    The layers run in spec order, except that each ReLU directly followed
-    by a max pool runs after it, on the pooled map (a quarter of the
-    elements for a 2x2 window). The two commute exactly for every input
-    that is not NaN. Forward: ReLU is monotone, so the max of the ReLUs is
-    the ReLU of the max. Backward: a window whose max is positive sends
-    its gradient to the same first maximum either way, and a window whose
-    max is not positive gets zeros either way. The spec, its JSON and the
-    parameter order do not change.
-    """
+    """A materialized NetworkSpec: one live layer per spec layer, run in spec order."""
 
     def __init__(self, spec: NetworkSpec, seed: int):
         self.spec = spec
@@ -232,10 +215,6 @@ class Network:
         inputs = (spec.input_shape, *spec.layer_shapes())
         self.layers: list[Layer] = [_materialize(shape, layer_spec, rng)
                                     for shape, layer_spec in zip(inputs, spec.layers)]
-        for i in range(len(self.layers) - 1):
-            relu, pool = self.layers[i : i + 2]
-            if isinstance(relu, ReLU) and isinstance(pool, (MaxPool1D, MaxPool2D)):
-                self.layers[i : i + 2] = pool, relu
         if self.layers:
             self.layers[0].needs_input_grad = False
         self.history: list[float] = []
@@ -298,23 +277,33 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 def network_arrays(net: Network, prefix: str = "") -> dict[str, np.ndarray]:
     """The checkpoint codec: spec JSON, seed and parameters under prefix."""
-    arrays = {
-        f"{prefix}spec_json": np.array(net.spec.to_json()),
-        f"{prefix}seed": np.array(net.seed, dtype=np.int64),
-    }
-    for i, p in enumerate(net.parameters()):
-        arrays[f"{prefix}param_{i:04d}"] = p
+    arrays = {f"{prefix}param_{i:04d}": p for i, p in enumerate(net.parameters())}
+    arrays[f"{prefix}spec_json"] = np.array(net.spec.to_json())
+    arrays[f"{prefix}seed"] = np.array(net.seed, dtype=np.int64)
     return arrays
 
 
 def network_from_arrays(data, prefix: str = "") -> Network:
-    """Inverse of network_arrays; every stored parameter must match its shape."""
-    net = Network(NetworkSpec.from_json(str(data[f"{prefix}spec_json"])),
-                  seed=int(data[f"{prefix}seed"]))
+    """Inverse of network_arrays; a spec, seed or parameter it cannot use
+    raises SpecError naming its key."""
+    key = f"{prefix}spec_json"
+    text = str(data[key])
+    try:
+        spec = NetworkSpec.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"key {key!r} is not JSON: {exc}") from None
+    except KeyError as exc:
+        raise SpecError(f"key {key!r} has no entry {exc}") from None
+    except (ValueError, TypeError) as exc:  # a wrong type or a bad spec
+        raise SpecError(f"key {key!r}: {exc}") from None
+    seed = data[f"{prefix}seed"]
+    if seed.shape or seed.dtype.kind not in "iu":
+        raise SpecError(f"key '{prefix}seed' must hold one integer, got {seed.dtype} {seed}")
+    net = Network(spec, seed=int(seed))
     for i, p in enumerate(net.parameters()):
         name = f"{prefix}param_{i:04d}"
         stored = data[name]
         if stored.shape != p.shape:
-            raise SpecError(f"checkpoint parameter {name} shape {stored.shape} != {p.shape}")
+            raise SpecError(f"key {name!r} has shape {stored.shape}, not {p.shape}")
         p[...] = stored
     return net

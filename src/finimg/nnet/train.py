@@ -133,22 +133,11 @@ def grid_search(builder, neuron_grid, train_xy, val_xy, config: TrainConfig):
             try:
                 spec = builder(n1, n2)
                 net = train(spec, train_x, train_y, config)
-                rows.append(
-                    GridSearchRow(
-                        neurons1=n1,
-                        neurons2=n2,
-                        train_accuracy=classification_accuracy(net, train_x, train_y),
-                        val_accuracy=classification_accuracy(net, val_x, val_y),
-                        parameter_count=spec.parameter_count(),
-                    )
-                )
+                rows.append(GridSearchRow(n1, n2, classification_accuracy(net, train_x, train_y),
+                                          classification_accuracy(net, val_x, val_y),
+                                          spec.parameter_count()))
             except (DivergenceError, ValueError) as exc:
-                rows.append(
-                    GridSearchRow(
-                        neurons1=n1, neurons2=n2, train_accuracy=None,
-                        val_accuracy=None, parameter_count=0, error=str(exc),
-                    )
-                )
+                rows.append(GridSearchRow(n1, n2, None, None, 0, str(exc)))
     scored = [r for r in rows if r.error is None]
     if not scored:
         raise DivergenceError("every grid cell failed to train")

@@ -38,9 +38,7 @@ SECTION_TABLE = {
     ),
 }
 SECTION_LABELS = {kind: tuple(row[0] for row in rows) for kind, rows in SECTION_TABLE.items()}
-CANONICAL_COUNTS = {kind: tuple(row[2] for row in rows) for kind, rows in SECTION_TABLE.items()}
 FUNDAMENTAL_SECTIONS = SECTION_LABELS["fundamental"]
-RATIO_CATEGORIES = SECTION_LABELS["ratio"]
 
 
 class SchemaError(ValueError):

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finimg import experiment
 from finimg.cli import build_parser, main
 from finimg.nnet import save_arrays
 from finimg.schema import FUNDAMENTAL_SECTIONS
@@ -295,23 +294,6 @@ def test_compare_rejects_bad_protocol_settings_at_config_stage(tmp_path, synth_d
     assert not out.exists()
 
 
-def test_compare_rejects_an_unknown_report_format_before_training(tmp_path, synth_dir, capsys,
-                                                                   monkeypatch):
-    calls = []
-    monkeypatch.setattr(experiment, "train", lambda *a, **kw: calls.append(1))
-    out = tmp_path / "cmp"
-    code = run_cli(
-        "compare", "--data", str(synth_dir / "data.csv"),
-        "--schema", str(synth_dir / "schema.csv"),
-        "--methods", "cca,wcr", "--runs", "2", "--epochs", "1", "--format", "md",
-        "--out", str(out),
-    )
-    assert code == 2
-    assert "error [config] unknown report format 'md'" in capsys.readouterr().err
-    assert not out.exists()
-    assert calls == []
-
-
 @pytest.mark.parametrize("flags, message", [
     (("--seed", "-2"), "seed must not be negative, got -2"),
     (("--years", "abc"), "--years must be first:last (or one year), got 'abc'"),
@@ -458,9 +440,10 @@ def evaluate_error(path, synth_dir, capsys) -> str:
 
 @pytest.mark.parametrize("key, value, message", [
     ("keep", None, "checkpoint has no key 'keep'"),
+    ("meta_json", None, "checkpoint has no key 'meta_json'"),
     ("meta_json", np.array('{"method": "cca",'), "checkpoint key 'meta_json' is not JSON: "
      "Expecting property name enclosed in double quotes: line 1 column 18 (char 17)"),
-], ids=["missing_key", "malformed_meta"])
+], ids=["missing_key", "missing_meta", "malformed_meta"])
 def test_evaluate_names_the_checkpoint_and_key_it_cannot_read(tmp_path, synth_dir, capsys,
                                                               checkpoint_arrays, key, value,
                                                               message):
@@ -472,6 +455,72 @@ def test_evaluate_names_the_checkpoint_and_key_it_cannot_read(tmp_path, synth_di
     path = tmp_path / "model.npz"
     save_arrays(path, arrays)
     assert evaluate_error(path, synth_dir, capsys) == f"error [evaluate] {path}: {message}\n"
+
+
+def _edit_spec(edit):
+    """A net_spec_json edit: edit mutates the parsed JSON of the stored spec."""
+    def apply(text):
+        spec = json.loads(text)
+        edit(spec)
+        return json.dumps(spec)
+    return apply
+
+
+# The cca spec on an 8x12 grid: conv2d, maxpool, activation, conv2d,
+# activation, flatten, then the dense head.
+@pytest.mark.parametrize("key, value, message", [
+    ("meta_json", "5", "checkpoint meta_json must be a JSON object"),
+    ("meta_json", '{"features": ["a"]}', "checkpoint missing key 'meta_json.method'"),
+    ("meta_json", '{"features": 7, "method": "cca"}',
+     "checkpoint meta_json.features must be tuple[str, ...] | None, got 7"),
+    ("meta_json", '{"features": ["a"], "method": "bogus"}',
+     "checkpoint unknown method 'bogus' (in 'meta_json')"),
+    ("net_spec_json", "{", "checkpoint key 'net_spec_json' is not JSON: "
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("net_spec_json", _edit_spec(lambda spec: spec.pop("loss")),
+     "checkpoint key 'net_spec_json' has no entry 'loss'"),
+    ("net_spec_json", _edit_spec(lambda spec: spec["layers"][5].update(kind="bogus")),
+     "checkpoint key 'net_spec_json': layer 5: unknown kind 'bogus'"),
+    ("net_spec_json", _edit_spec(lambda spec: spec.update(loss="hinge")),
+     "checkpoint key 'net_spec_json': unknown loss 'hinge'"),
+    ("net_spec_json", _edit_spec(lambda spec: spec["layers"][2]["args"].update(kind="tanh")),
+     "checkpoint key 'net_spec_json': layer 2: unsupported activation 'tanh'"),
+    ("net_spec_json", _edit_spec(lambda spec: spec["layers"].insert(
+        6, {"kind": "dropout", "args": {"rate": 1.5}})),
+     "checkpoint key 'net_spec_json': layer 6: dropout rate 1.5 outside [0, 1)"),
+    ("net_seed", 0.5, "checkpoint key 'net_seed' must hold one integer, got float64 0.5"),
+], ids=["meta_not_an_object", "meta_without_method", "features_not_a_list", "unknown_method",
+        "spec_not_json", "spec_without_loss", "unknown_layer_kind", "unknown_loss",
+        "unknown_activation", "dropout_rate_outside_0_1", "seed_not_an_integer"])
+def test_evaluate_names_the_checkpoint_key_it_cannot_use(tmp_path, synth_dir, capsys,
+                                                         checkpoint_arrays, key, value, message):
+    # Each used to fail with a bare TypeError, KeyError, JSONDecodeError or
+    # SpecError naming no file, or (an unknown method, a fractional seed) to load.
+    arrays = dict(checkpoint_arrays)
+    arrays[key] = np.array(value(str(arrays[key])) if callable(value) else value)
+    path = tmp_path / "model.npz"
+    save_arrays(path, arrays)
+    assert evaluate_error(path, synth_dir, capsys) == f"error [evaluate] {path}: {message}\n"
+
+
+def test_evaluate_rejects_a_test_year_without_observations(tmp_path, synth_dir, checkpoint_arrays,
+                                                           capsys):
+    path = tmp_path / "model.npz"
+    save_arrays(path, checkpoint_arrays)
+    code = run_cli("evaluate", "--model", str(path), "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"), "--test-year", "2030")
+    assert code == 2
+    assert capsys.readouterr().err == "error [evaluate] no observations in year 2030\n"
+
+
+def test_config_file_data_without_schema_fails_at_the_data_stage(tmp_path, synth_dir, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"data": str(synth_dir / "data.csv"), "methods": ["mlp"]}),
+                        encoding="utf-8")
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == "error [data] a data path needs a schema path\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_names_a_checkpoint_that_is_not_an_npz(tmp_path, synth_dir, capsys):

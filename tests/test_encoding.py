@@ -24,7 +24,7 @@ from finimg.encoding import (
 from finimg.hilbert import HilbertOrder, hilbert_d2xy
 from finimg.schema import (
     FUNDAMENTAL_SECTIONS,
-    RATIO_CATEGORIES,
+    SECTION_LABELS,
     build_schema,
 )
 from support import Observation, dataset_from_observations
@@ -343,7 +343,7 @@ def test_index_maps_are_pinned():
 @st.composite
 def schemas(draw):
     kind = draw(st.sampled_from(["fundamental", "ratio"]))
-    sections = FUNDAMENTAL_SECTIONS if kind == "fundamental" else RATIO_CATEGORIES
+    sections = SECTION_LABELS[kind]
     return build_schema(kind, {s: draw(st.integers(1, 12)) for s in sections})
 
 

@@ -35,7 +35,8 @@ from finimg.experiment import (
     run_compare,
     save_pipeline,
 )
-from finimg.nnet import DivergenceError, InputTooSmallError, SpecError, TrainConfig, save_arrays
+from finimg.nnet import (DivergenceError, InputTooSmallError, Network, SpecError, TrainConfig,
+                         save_arrays)
 from finimg.schema import FUNDAMENTAL_SECTIONS, SECTION_LABELS
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
@@ -232,6 +233,18 @@ def test_layout_input_shape_is_the_training_input_shape(spec, method):
         config, method, ds, config.train, config.arrangement_seed)
     assert train_x.shape == (len(train_raw), *pipe.input_shape)
     assert experiment.classifier_spec(pipe.input_shape).input_shape == pipe.input_shape
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_every_network_runs_its_spec_one_layer_per_entry(method, dataset):
+    config = small_config(methods=(method,))
+    pipe, autoencoder = experiment._layout(config, method, dataset, 0)
+    for spec in (experiment.classifier_spec(pipe.input_shape), autoencoder):
+        if spec is not None:
+            names = [l.name for l in Network(spec, 0).layers]
+            kinds = [{"activation": "relu"}.get(l.kind, l.kind) for l in spec.layers]
+            assert len(names) == len(kinds)
+            assert all(name.startswith(kind) for name, kind in zip(names, kinds)), names
 
 
 def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
@@ -504,7 +517,7 @@ def test_reduced_padding_study_rows(dataset, tmp_path):
     config = small_config(methods=("hva", "reduced_hva"))
     report = run_compare(config, dataset)
     acc = {m: recs[0].accuracy for m, recs in report.records.items()}
-    emit_report(report, tmp_path, ("markdown",))
+    emit_report(report, tmp_path)
     text = (tmp_path / "report.md").read_text(encoding="utf-8")
     assert text.endswith(_study_section(
         "Reduced zero padding", ("Reduced HVA accuracy", "Original HVA accuracy"),
@@ -518,7 +531,7 @@ def test_autoencoder_study_rows(dataset, tmp_path):
     config = small_config(methods=("sa", "autoencoder_sa"))
     report = run_compare(config, dataset)
     acc = {m: recs[0].accuracy for m, recs in report.records.items()}
-    emit_report(report, tmp_path, ("markdown",))
+    emit_report(report, tmp_path)
     text = (tmp_path / "report.md").read_text(encoding="utf-8")
     assert text.endswith(_study_section(
         "Auto-encoder study", ("Auto-encoder accuracy", "SA accuracy"),

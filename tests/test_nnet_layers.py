@@ -323,61 +323,42 @@ def test_conv_pool_stack_gradients_match_finite_differences(data, one_d):
     assert err < 1e-4
 
 
-# The spec kind of each layer whose name differs from it.
-SPEC_KIND = {"relu": "activation", "maxpool1d": "maxpool", "maxpool2d": "maxpool"}
-
-
-def in_spec_order(net):
-    """net's own layer objects in the order its spec lists them."""
-    queues = {}
-    for layer in net.layers:
-        queues.setdefault(SPEC_KIND.get(layer.name, layer.name), []).append(layer)
-    return [queues[layer.kind].pop(0) for layer in net.spec.layers]
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), one_d=st.booleans())
 def test_relu_pool_swap_is_exact(data, one_d):
-    # conv -> ReLU -> pool blocks, some with the pool left out as the
-    # builders leave it out on small maps. Integer inputs and weights make
-    # windows tie and put values on the ReLU kink at 0.
+    # conv -> ReLU -> pool blocks against their conv -> pool -> ReLU twins,
+    # some with the pool left out as the builders leave it out on small maps.
+    # Integer inputs and weights make windows tie and put values on the
+    # ReLU kink at 0.
     shape = [data.draw(st.integers(3, 9)) for _ in range(1 if one_d else 2)]
     input_shape = (data.draw(st.integers(1, 2)), *shape)
-    layers = []
+    relu_first, pool_first = [], []
     for _ in range(data.draw(st.integers(1, 2))):
         kernel = [data.draw(st.integers(1, min(n, 3))) for n in shape]
         filters = data.draw(st.integers(1, 3))
-        layers += [conv1d(filters, *kernel) if one_d else conv2d(filters, *kernel), activation()]
+        conv = conv1d(filters, *kernel) if one_d else conv2d(filters, *kernel)
         shape = [n - k + 1 for n, k in zip(shape, kernel)]
         window = data.draw(st.integers(1, 3))
-        if min(shape) >= window and data.draw(st.booleans()):
-            layers.append(maxpool(window))
-            shape = [n // window for n in shape]
-    spec = NetworkSpec(input_shape, tuple(layers) + (
-        flatten(), dense(4), activation(), softmax_output(3)))
-    net = Network(spec, seed=0)
+        pool = [maxpool(window)] if min(shape) >= window and data.draw(st.booleans()) else []
+        shape = [n // window for n in shape] if pool else shape
+        relu_first += [conv, activation(), *pool]
+        pool_first += [conv, *pool, activation()]
+    head = (flatten(), dense(4), activation(), softmax_output(3))
+    nets = [Network(NetworkSpec(input_shape, tuple(layers) + head), seed=0)
+            for layers in (relu_first, pool_first)]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    for p in net.parameters():
-        p[...] = rng.integers(-2, 3, size=p.shape)
+    for p, twin in zip(*(net.parameters() for net in nets), strict=True):
+        p[...] = twin[...] = rng.integers(-2, 3, size=p.shape)
     x = rng.integers(-2, 3, size=(3,) + input_shape).astype(float)
     y = rng.integers(0, 3, size=3)
 
-    out = net.forward(x).copy()
-    net.loss_and_grad(x, y, train=False)
-    grads = [g.copy() for g in net.gradients()]
-
-    ordered = in_spec_order(net)
-    assert (ordered != net.layers) == any(l.kind == "maxpool" for l in spec.layers)
-    ref = x
-    for layer in ordered:
-        ref = layer.forward(ref, train=False)
-    grad = ordered[-1].backward_from_labels(y)
-    for layer in reversed(ordered[:-1]):
-        grad = layer.backward(grad)
-    assert np.array_equal(out, ref)
-    ref_grads = [g for layer in ordered for g in layer.grads()]
-    assert len(grads) == len(ref_grads)
-    for got, want in zip(grads, ref_grads):
+    outs, grads = [], []
+    for net in nets:
+        outs.append(net.forward(x))
+        net.loss_and_grad(x, y, train=False)
+        grads.append(net.gradients())
+    assert np.array_equal(*outs)
+    for got, want in zip(*grads, strict=True):
         assert np.array_equal(got, want)
 
 
@@ -386,8 +367,9 @@ def test_network_runs_pool_before_relu_without_touching_the_spec():
     before = spec.to_json()
     net = Network(spec, seed=0)
     assert spec.to_json() == before
-    assert [l.kind for l in spec.layers[:5]] == [
-        "conv2d", "activation", "maxpool", "conv2d", "activation"]
+    assert [l.kind for l in spec.layers] == [
+        "conv2d", "maxpool", "activation", "conv2d", "activation", "flatten",
+        "dense", "activation", "dense", "activation", "softmax_output"]
     assert [l.name for l in net.layers] == [
         "conv2d", "maxpool2d", "relu", "conv2d", "relu", "flatten",
         "dense", "relu", "dense", "relu", "softmax_output"]

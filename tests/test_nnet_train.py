@@ -42,26 +42,26 @@ def separable_toy(n=200, seed=0):
 def test_builder_shapes_match_arithmetic():
     shapes = build_cnn1d(332).layer_shapes()
     lengths = [s[1] for s in shapes if len(s) == 2]
-    assert lengths[:6] == [330, 330, 165, 163, 163, 81]
+    assert lengths[:6] == [330, 165, 165, 163, 81, 81]
     shapes = build_cnn1d(69).layer_shapes()
     lengths = [s[1] for s in shapes if len(s) == 2]
-    assert lengths[:6] == [67, 67, 33, 31, 31, 15]
+    assert lengths[:6] == [67, 33, 33, 31, 15, 15]
 
 
 def test_builder_cnn2d_feature_maps():
     shapes = build_cnn2d(18, 27).layer_shapes()
     spatial = [s[1:] for s in shapes if len(s) == 3]
-    assert spatial[:6] == [(16, 25), (16, 25), (8, 12), (6, 10), (6, 10), (3, 5)]
+    assert spatial[:6] == [(16, 25), (8, 12), (8, 12), (6, 10), (3, 5), (3, 5)]
     shapes = build_cnn2d(32, 32).layer_shapes()
     spatial = [s[1:] for s in shapes if len(s) == 3]
-    assert spatial[:6] == [(30, 30), (30, 30), (15, 15), (13, 13), (13, 13), (6, 6)]
+    assert spatial[:6] == [(30, 30), (15, 15), (15, 15), (13, 13), (6, 6), (6, 6)]
 
 
 def test_builder_cnn2d_skips_degenerate_pool():
     spec = build_cnn2d(8, 16)
     spatial = [s[1:] for s in spec.layer_shapes() if len(s) == 3]
     # 6x14 -> pool 3x7 -> conv 1x5, second pool skipped (would floor to 0)
-    assert spatial == [(6, 14), (6, 14), (3, 7), (1, 5), (1, 5)]
+    assert spatial == [(6, 14), (3, 7), (3, 7), (1, 5), (1, 5)]
     kinds = [l.kind for l in spec.layers]
     assert kinds.count("maxpool") == 1
 
@@ -282,11 +282,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 CNN1D_12_JSON = (
     '{"input_shape": [1, 12], "layers": ['
     '{"args": {"filters": 64, "kernel": 3, "padding": "valid"}, "kind": "conv1d"}, '
-    '{"args": {"kind": "relu"}, "kind": "activation"}, '
     '{"args": {"window": 2}, "kind": "maxpool"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
     '{"args": {"filters": 32, "kernel": 3, "padding": "valid"}, "kind": "conv1d"}, '
-    '{"args": {"kind": "relu"}, "kind": "activation"}, '
     '{"args": {"window": 2}, "kind": "maxpool"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
     '{"args": {}, "kind": "flatten"}, '
     '{"args": {"units": 128}, "kind": "dense"}, '
     '{"args": {"kind": "relu"}, "kind": "activation"}, '
@@ -297,8 +297,8 @@ CNN1D_12_JSON = (
 CNN2D_8_16_JSON = (
     '{"input_shape": [1, 8, 16], "layers": ['
     '{"args": {"filters": 64, "kernel_h": 3, "kernel_w": 3, "padding": "valid"}, "kind": "conv2d"}, '
-    '{"args": {"kind": "relu"}, "kind": "activation"}, '
     '{"args": {"window": 2}, "kind": "maxpool"}, '
+    '{"args": {"kind": "relu"}, "kind": "activation"}, '
     '{"args": {"filters": 32, "kernel_h": 3, "kernel_w": 3, "padding": "valid"}, "kind": "conv2d"}, '
     '{"args": {"kind": "relu"}, "kind": "activation"}, '
     '{"args": {}, "kind": "flatten"}, '

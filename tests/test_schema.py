@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finimg.schema import (
-    CANONICAL_COUNTS,
     FUNDAMENTAL_SECTIONS,
     SECTION_LABELS,
     RATING_TO_CLASS,
-    RATIO_CATEGORIES,
+    SECTION_TABLE,
     FeatureSchema,
     SchemaError,
     UnknownRatingError,
@@ -60,7 +59,7 @@ def test_canonical_fundamental_schema():
     assert len(schema) == 332
     slices = schema.section_slices()
     assert tuple(slices[s].stop - slices[s].start for s in FUNDAMENTAL_SECTIONS) == \
-        CANONICAL_COUNTS["fundamental"]
+        tuple(count for _, _, count in SECTION_TABLE["fundamental"])
     assert schema.section_order == FUNDAMENTAL_SECTIONS
 
 
@@ -68,8 +67,8 @@ def test_canonical_ratio_schema():
     schema = build_schema("ratio")
     assert len(schema) == 69
     slices = schema.section_slices()
-    assert tuple(slices[c].stop - slices[c].start for c in RATIO_CATEGORIES) == \
-        CANONICAL_COUNTS["ratio"]
+    assert tuple(slices[c].stop - slices[c].start for c in SECTION_LABELS["ratio"]) == \
+        tuple(count for _, _, count in SECTION_TABLE["ratio"])
 
 
 def test_schema_rejects_duplicate_names():

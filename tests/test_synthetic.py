@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finimg.data import save_csv
-from finimg.schema import FUNDAMENTAL_SECTIONS, RATIO_CATEGORIES, SchemaError
+from finimg.schema import FUNDAMENTAL_SECTIONS, SECTION_LABELS, SchemaError
 from finimg.synthetic import (
     SyntheticSpec,
     generate_synthetic,
@@ -89,7 +89,7 @@ def test_quantile_labels_are_balanced():
 
 def test_ratio_kind_uses_ratio_schema():
     spec = SyntheticSpec(n_per_year=24, years=(2016, 2016), kind="ratio",
-                         section_counts={c: 3 for c in RATIO_CATEGORIES}, seed=0)
+                         section_counts={c: 3 for c in SECTION_LABELS["ratio"]}, seed=0)
     ds = generate_synthetic(spec)
     assert ds.schema.dataset_kind == "ratio"
     assert len(ds.schema) == 24
