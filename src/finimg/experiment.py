@@ -310,6 +310,7 @@ class FittedPipeline:
         if self.autoencoder is not None:  # its encoder half maps values to codes
             for layer in self.autoencoder.layers[:ENCODER_LAYERS]:
                 values = layer.forward(values, train=False)
+            self.autoencoder.clear_saved()
         if self.provenance is None:
             return values.reshape(len(values), *self.input_shape)
         return grid_tensor(values, self.provenance)

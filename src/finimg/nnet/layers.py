@@ -18,6 +18,13 @@ pool keeps its input's order in its output, masks and input gradient, so
 the gradient reaching a convolution's backward is already the
 channels-last matrix its weight GEMM reads. Flatten copies to C order,
 because the dense weights read (C, H, W) order.
+
+Saved state: a forward drops the last batch's _saved, then saves what its
+backward reads: a conv its im2col columns, a max pool its masks, input size
+and axis order, ReLU and dropout their masks, the dense kinds their input
+(softmax output also its probabilities), Flatten its input shape. Backward
+takes it through _take, which clears it, so only the gradients _dw and _db
+outlive it; Network.predict clears every layer's state when it returns.
 """
 from __future__ import annotations
 
@@ -44,12 +51,19 @@ class Layer:
 
     name = "layer"
     needs_input_grad = True
+    _saved: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _take(self) -> tuple:
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise ValueError(f"{self.name}: backward without a forward")
+        return saved
 
     def params(self) -> list[np.ndarray]:
         return []
@@ -69,11 +83,11 @@ class _Weighted(Layer):
     def _affine(self, x):
         _check(x.ndim == 2 and x.shape[1] == self.weight.shape[0], self.name,
                f"expected (N, {self.weight.shape[0]}), got {x.shape}")
-        self._x = x
+        self._saved = (x,)
         return x @ self.weight + self.bias
 
-    def _affine_backward(self, grad):
-        self._dw = self._x.T @ grad
+    def _affine_backward(self, x, grad):
+        self._dw = x.T @ grad
         self._db = grad.sum(axis=0)
         if not self.needs_input_grad:
             return None
@@ -93,18 +107,19 @@ class Dense(_Weighted):
         return self._affine(x)
 
     def backward(self, grad):
-        return self._affine_backward(grad)
+        return self._affine_backward(*self._take(), grad)
 
 
 class ReLU(Layer):
     name = "relu"
 
     def forward(self, x, train, rng=None):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._saved = None  # frees the last mask before the new one is made
+        self._saved = (x > 0,)
+        return np.where(self._saved[0], x, 0.0)
 
     def backward(self, grad):
-        return np.where(self._mask, grad, 0.0)
+        return np.where(self._take()[0], grad, 0.0)
 
 
 class Dropout(Layer):
@@ -114,32 +129,30 @@ class Dropout(Layer):
 
     def __init__(self, rate: float):
         self.rate = rate
-        self._mask = None
 
     def forward(self, x, train, rng=None):
+        self._saved = (None,)  # the identity, unless a mask replaces it
         if not train or self.rate == 0.0:
-            self._mask = None
             return x
         if rng is None:
             raise ValueError("dropout in train mode needs an rng")
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        self._saved = ((rng.random(x.shape) >= self.rate) / (1.0 - self.rate),)
+        return x * self._saved[0]
 
     def backward(self, grad):
-        if self._mask is None:
-            return grad
-        return grad * self._mask
+        (mask,) = self._take()
+        return grad if mask is None else grad * mask
 
 
 class Flatten(Layer):
     name = "flatten"
 
     def forward(self, x, train, rng=None):
-        self._shape = x.shape
+        self._saved = (x.shape,)
         return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # also for 0 rows
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return grad.reshape(self._take()[0])
 
 
 class _Conv(_Weighted):
@@ -149,42 +162,41 @@ class _Conv(_Weighted):
     equals (c, k), so both layers hand the same operands to the GEMMs.
     """
 
+    @staticmethod
+    def _im2col(a, kh, kw):
+        """The stride-1 kh x kw windows of (N, C, H, W) a, one channels-last row each."""
+        n, c, h, w = a.shape
+        s0, s1, s2, s3 = a.strides
+        win = np.lib.stride_tricks.as_strided(
+            a, (n, c, h - kh + 1, w - kw + 1, kh, kw), (s0, s1, s2, s3, s2, s3))
+        return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(-1, c * kh * kw)
+
     def _correlate(self, x, weight):
+        self._saved = None
         f, c, kh, kw = weight.shape
         _check(x.shape[2] >= kh and x.shape[3] >= kw, self.name,
                f"input {x.shape[2]}x{x.shape[3]} smaller than kernel {kh}x{kw}")
         n, _, h, w = x.shape
         oh, ow = h - kh + 1, w - kw + 1
-        s0, s1, s2, s3 = x.strides
-        win = np.lib.stride_tricks.as_strided(
-            x, (n, c, oh, ow, kh, kw), (s0, s1, s2, s3, s2, s3)
-        )
-        self._cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            n * oh * ow, c * kh * kw
-        )
-        out = self._cols @ weight.reshape(f, -1).T
+        cols = self._im2col(x, kh, kw)
+        out = cols @ weight.reshape(f, -1).T
         out += self.bias
-        self._in_hw = (h, w)
+        self._saved = (cols,)
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     def _correlate_backward(self, grad, weight):
         f, c, kh, kw = weight.shape
         n, _, oh, ow = grad.shape
-        h, w = self._in_hw
+        h, w = oh + kh - 1, ow + kw - 1
         gmat = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(n * oh * ow, f)
-        self._dw = (gmat.T @ self._cols).reshape(self.weight.shape)
+        # The columns are freed here, before the input gradient's are gathered.
+        self._dw = (gmat.T @ self._take()[0]).reshape(self.weight.shape)
         self._db = gmat.sum(axis=0)
         if not self.needs_input_grad:
             return None
         gp = np.zeros((n, oh + 2 * (kh - 1), ow + 2 * (kw - 1), f)).transpose(0, 3, 1, 2)
         gp[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = grad
-        s0, s1, s2, s3 = gp.strides
-        win = np.lib.stride_tricks.as_strided(
-            gp, (n, f, h, w, kh, kw), (s0, s1, s2, s3, s2, s3)
-        )
-        cols_g = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            n * h * w, f * kh * kw
-        )
+        cols_g = self._im2col(gp, kh, kw)
         rot = weight[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(f * kh * kw, c)
         return (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
@@ -237,6 +249,7 @@ class _MaxPool(Layer):
         self.window = window
 
     def _pool(self, x, wh, ww):
+        self._saved = None
         n, c, h, w = x.shape
         oh, ow = h // wh, w // ww
         _check(oh > 0 and ow > 0, self.name,
@@ -247,20 +260,20 @@ class _MaxPool(Layer):
         for cell in cells[1:]:
             np.maximum(out, cell, out=out)
         free = np.ones_like(out, dtype=bool)
-        self._masks = []
+        masks = []
         for cell in cells:
             m = (cell == out) & free
             free &= ~m
-            self._masks.append(m)
-        self._in_hw = (h, w)
-        self._in_axes = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outermost first
+            masks.append(m)
+        in_axes = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outermost first
+        self._saved = (masks, (h, w), in_axes)
         return out
 
     def _pool_backward(self, grad, wh, ww):
         n, c, oh, ow = grad.shape
-        shape = np.array((n, c, *self._in_hw))
-        dx = np.zeros(shape[self._in_axes]).transpose(np.argsort(self._in_axes))
-        for (i, j), m in zip(np.ndindex(wh, ww), self._masks):
+        masks, (h, w), in_axes = self._take()
+        dx = np.zeros(np.array((n, c, h, w))[in_axes]).transpose(np.argsort(in_axes))
+        for (i, j), m in zip(np.ndindex(wh, ww), masks):
             dx[:, :, i : oh * wh : wh, j : ow * ww : ww] = np.where(m, grad, 0.0)
         return dx
 
@@ -299,16 +312,18 @@ class SoftmaxOutput(_Weighted):
     name = "softmax_output"
 
     def forward(self, x, train, rng=None):
-        self._probs = softmax(self._affine(x))
-        return self._probs
+        probs = softmax(self._affine(x))
+        self._saved = (x, probs)
+        return probs
 
     def backward_from_labels(self, labels: np.ndarray) -> np.ndarray:
         """Gradient of mean cross-entropy with respect to the input."""
+        x, probs = self._take()
         n = labels.shape[0]
-        dlogits = self._probs.copy()
+        dlogits = probs.copy()
         dlogits[np.arange(n), labels] -= 1.0
         dlogits /= n
-        return self._affine_backward(dlogits)
+        return self._affine_backward(x, dlogits)
 
     def backward(self, grad):
         raise NotImplementedError("use backward_from_labels on the output layer")

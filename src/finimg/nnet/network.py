@@ -162,12 +162,12 @@ def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[in
             c, *spatial = shape
             kernel = _PARAM_SHAPES[kind](shape, args)[0][2:]  # (filters, c, *kernel)
             if len(spatial) != len(kernel):
-                raise ValueError(f"{kind} needs {len(kernel)} spatial axes")
+                raise SpecError(f"{kind} needs {len(kernel)} spatial axes")
             return (args["filters"], *(_conv_len(n, k) for n, k in zip(spatial, kernel)))
         if kind == "maxpool":
             c, *spatial = shape
             if len(spatial) not in (1, 2):
-                raise ValueError("maxpool needs 1 or 2 spatial axes")
+                raise SpecError("maxpool needs 1 or 2 spatial axes")
             w = args["window"]
             out = tuple(n // w for n in spatial)
             if min(out) < 1:
@@ -177,8 +177,9 @@ def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[in
             return (int(np.prod(shape)),)
         if kind in ("dropout", "activation"):
             return shape
-    except ValueError as exc:
-        raise SpecError(f"layer {index} ({kind}): incompatible input shape {shape}") from exc
+    except ValueError as exc:  # a SpecError keeps its message
+        detail = exc if isinstance(exc, SpecError) else f"incompatible input shape {shape}"
+        raise SpecError(f"layer {index} ({kind}): {detail}") from exc
     raise SpecError(f"layer {index}: unknown kind {kind!r}")
 
 
@@ -232,8 +233,17 @@ class Network:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward pass (class probabilities for classifiers),
         PREDICT_ROWS rows at a time, so memory does not grow with len(x)."""
-        return np.concatenate([self.forward(x[i : i + PREDICT_ROWS], train=False)
-                               for i in range(0, max(len(x), 1), PREDICT_ROWS)])
+        out = np.concatenate([self.forward(x[i : i + PREDICT_ROWS], train=False)
+                              for i in range(0, max(len(x), 1), PREDICT_ROWS)])
+        # Once, not per chunk: each forward already drops its layer's last
+        # chunk, and freeing them all per chunk made malloc trim and re-fault.
+        self.clear_saved()
+        return out
+
+    def clear_saved(self) -> None:
+        """Drop what each layer's last forward saved for its backward."""
+        for layer in self.layers:
+            layer._saved = None
 
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x).argmax(axis=1)

@@ -363,6 +363,23 @@ def test_pipeline_checkpoint_roundtrip(tmp_path, dataset):
         assert again.n_test == record.n_test
 
 
+def test_no_method_keeps_layer_state_after_training_or_inference(dataset):
+    def holders(pipe):
+        nets = (pipe.network, pipe.autoencoder)
+        return [layer.name for net in nets if net for layer in net.layers
+                if layer._saved is not None]
+
+    for method in ALL_METHODS:
+        pipe, _, _ = fit_pipeline(small_config(), method, dataset, train_seed=0)
+        assert holders(pipe) == [], method  # trained, then scored on the test year
+        x = pipe.transform(dataset)
+        assert holders(pipe) == [], method
+        pipe.network.loss_and_grad(x[:5], dataset.labels[:5], rng=np.random.default_rng(0))
+        assert holders(pipe) == [], method
+        pipe.network.predict(x)
+        assert holders(pipe) == [], method
+
+
 def test_fit_plan_lists_every_fit_in_report_order():
     config = small_config(methods=("wcr", "sa", "cca"), randomization_runs=2, training_seeds=2,
                           arrangement_seed=5, train=TrainConfig(epochs=1, seed=7))

@@ -20,6 +20,7 @@ from finimg.nnet.layers import (
     ShapeMismatchError,
 )
 from finimg.nnet.network import (
+    SpecError,
     activation,
     conv1d,
     conv2d,
@@ -118,6 +119,16 @@ def test_shape_mismatch_names_layer():
     net = Network(NetworkSpec((4,), (dense(3), softmax_output(2))), seed=0)
     with pytest.raises(ShapeMismatchError):
         net.forward(np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("input_shape, first, message", [
+    ((1, 3, 3), maxpool(4), "layer 0 (maxpool): pool window 4 empties 3x3"),
+    ((1, 2, 5), conv2d(4, 3, 3), "layer 0 (conv2d): kernel 3 does not fit input of length 2"),
+], ids=["pool", "conv"])
+def test_spec_errors_keep_their_own_message(input_shape, first, message):
+    with pytest.raises(SpecError) as info:
+        NetworkSpec(input_shape, (first, flatten(), softmax_output(2)))
+    assert str(info.value) == message
 
 
 GRADIENT_CASES = {
@@ -433,4 +444,5 @@ def test_pool_after_conv_returns_dx_in_the_conv_output_order(one_d):
     dx = pool.backward(rng.normal(size=pooled.shape))
     assert is_channels_last(fmap) and not fmap.flags.c_contiguous
     assert is_channels_last(dx) and dx.shape == fmap.shape
+    pool.forward(fmap, train=False)  # a backward consumes its forward's state
     assert pool.backward(np.ascontiguousarray(rng.normal(size=pooled.shape))).strides == dx.strides
