@@ -84,10 +84,6 @@ class StandardizationParams:
     mean: np.ndarray
     stddev: np.ndarray
 
-    def __post_init__(self):
-        if (self.stddev <= 0).any():
-            raise DatasetError("standardization stddev must be positive")
-
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:
     """Per-feature mean and population stddev over non-missing train values.

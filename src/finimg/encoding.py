@@ -45,10 +45,6 @@ class ImageGrid:
     cells: np.ndarray
     provenance: np.ndarray
 
-    def __post_init__(self):
-        if self.cells.shape != self.provenance.shape or self.cells.ndim != 2:
-            raise ValueError("cells and provenance must be equal 2D shapes")
-
     @property
     def rows(self) -> int:
         return self.cells.shape[0]

@@ -79,6 +79,7 @@ from .nnet import (
     save_arrays,
 )
 from .nnet.train import train
+from .schema import N_CLASSES
 from .stats import (SIGNIFICANCE, ZeroVarianceError, one_sample_t_greater,
                     pairwise_t_bonferroni, summarize)
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -212,7 +213,9 @@ class ExperimentConfig:
         return _from_json(cls, raw)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        """Hash of to_json with the data and schema paths nulled: it names no file's location."""
+        raw = json.loads(self.to_json()) | {"data": None, "schema": None}
+        return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -462,16 +465,14 @@ def load_pipeline(path: str | Path) -> FittedPipeline:
         autoencoder = network_from_arrays(data, "ae_") if "ae_spec_json" in data else None
     except SpecError as exc:
         raise CheckpointError(f"{path}: checkpoint {exc}") from None
-    pipe = FittedPipeline(meta.method, meta.features, data["keep"], network=network,
-                          provenance=data.get("provenance"), autoencoder=autoencoder)
-    standardizer = {"mean": data["mean"], "stddev": data["stddev"]}
-    _check_pipeline(pipe, standardizer, path)
-    pipe.standardizer = StandardizationParams(**standardizer)
+    pipe = FittedPipeline(meta.method, meta.features, data["keep"],
+                          StandardizationParams(data["mean"], data["stddev"]), network,
+                          data.get("provenance"), autoencoder)
+    _check_pipeline(pipe, path)
     return pipe
 
 
-def _check_pipeline(pipe: FittedPipeline, standardizer: dict[str, np.ndarray],
-                    path: str | Path) -> None:
+def _check_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
     """Check a loaded pipeline's arrays against its features; name the file and the key."""
     def fail(key: str, detail: str):
         raise ExperimentError(f"{path}: checkpoint key {key!r} {detail}")
@@ -484,13 +485,16 @@ def _check_pipeline(pipe: FittedPipeline, standardizer: dict[str, np.ndarray],
         fail("keep", f"holds {outside[0]}, outside the {d} features")
     if len(np.unique(keep)) != len(keep):
         fail("keep", "repeats a feature")
-    for key, values in standardizer.items():
+    for key, values in vars(pipe.standardizer).items():  # mean, stddev
         if values.shape != (d,):
             fail(key, f"has shape {values.shape}, not ({d},)")
-    if not np.all(standardizer["stddev"] > 0):
+    if not np.all(pipe.standardizer.stddev > 0):
         fail("stddev", "holds an entry that is not positive")
     inputs = len(keep)
-    if pipe.autoencoder is not None:  # the index map places its codes
+    if pipe.autoencoder is not None:  # it encodes the kept features; the map places the codes
+        if pipe.autoencoder.spec.input_shape != (inputs,):
+            fail("ae_spec_json", f"takes input {pipe.autoencoder.spec.input_shape}, "
+                                 f"the kept features give ({inputs},)")
         inputs = pipe.autoencoder.spec.layer_shapes()[ENCODER_LAYERS - 1][0]
     if pipe.provenance is not None:
         cells = pipe.provenance[pipe.provenance != ZERO_PAD]
@@ -500,6 +504,9 @@ def _check_pipeline(pipe: FittedPipeline, standardizer: dict[str, np.ndarray],
     if pipe.network.spec.input_shape != pipe.input_shape:
         fail("net_spec_json", f"takes input {pipe.network.spec.input_shape}, "
                               f"the encoding gives {pipe.input_shape}")
+    outputs = pipe.network.spec.layer_shapes()[-1]
+    if outputs != (N_CLASSES,):
+        fail("net_spec_json", f"outputs {outputs}, not the {N_CLASSES} rating classes")
 
 
 def evaluate_pipeline(pipe: FittedPipeline, ds: Dataset,

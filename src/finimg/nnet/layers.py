@@ -25,6 +25,9 @@ and axis order, ReLU and dropout their masks, the dense kinds their input
 (softmax output also its probabilities), Flatten its input shape. Backward
 takes it through _take, which clears it, so only the gradients _dw and _db
 outlive it; Network.predict clears every layer's state when it returns.
+
+Layers do not check shapes: NetworkSpec.layer_shapes proves each layer's
+input before it is built, and Network.forward checks each batch's shape.
 """
 from __future__ import annotations
 
@@ -34,12 +37,7 @@ import numpy as np
 
 
 class ShapeMismatchError(ValueError):
-    """Raised when a layer receives input of the wrong shape."""
-
-
-def _check(condition: bool, layer: str, detail: str) -> None:
-    if not condition:
-        raise ShapeMismatchError(f"{layer}: {detail}")
+    """Raised when a network receives input of the wrong shape."""
 
 
 class Layer:
@@ -81,8 +79,6 @@ class _Weighted(Layer):
         self.bias = bias
 
     def _affine(self, x):
-        _check(x.ndim == 2 and x.shape[1] == self.weight.shape[0], self.name,
-               f"expected (N, {self.weight.shape[0]}), got {x.shape}")
         self._saved = (x,)
         return x @ self.weight + self.bias
 
@@ -174,8 +170,6 @@ class _Conv(_Weighted):
     def _correlate(self, x, weight):
         self._saved = None
         f, c, kh, kw = weight.shape
-        _check(x.shape[2] >= kh and x.shape[3] >= kw, self.name,
-               f"input {x.shape[2]}x{x.shape[3]} smaller than kernel {kh}x{kw}")
         n, _, h, w = x.shape
         oh, ow = h - kh + 1, w - kw + 1
         cols = self._im2col(x, kh, kw)
@@ -205,9 +199,6 @@ class Conv1D(_Conv):
     name = "conv1d"  # weight (filters, channels, kernel)
 
     def forward(self, x, train, rng=None):
-        c = self.weight.shape[1]
-        _check(x.ndim == 3 and x.shape[1] == c, self.name,
-               f"expected (N, {c}, L), got {x.shape}")
         return self._correlate(x[:, :, None, :], self.weight[:, :, None, :])[:, :, 0, :]
 
     def backward(self, grad):
@@ -219,9 +210,6 @@ class Conv2D(_Conv):
     name = "conv2d"  # weight (filters, channels, kh, kw)
 
     def forward(self, x, train, rng=None):
-        c = self.weight.shape[1]
-        _check(x.ndim == 4 and x.shape[1] == c, self.name,
-               f"expected (N, {c}, H, W), got {x.shape}")
         return self._correlate(x, self.weight)
 
     def backward(self, grad):
@@ -252,8 +240,6 @@ class _MaxPool(Layer):
         self._saved = None
         n, c, h, w = x.shape
         oh, ow = h // wh, w // ww
-        _check(oh > 0 and ow > 0, self.name,
-               f"window {wh}x{ww} larger than input {h}x{w}")
         xr = x[:, :, : oh * wh, : ow * ww].reshape(n, c, oh, wh, ow, ww)
         cells = [xr[:, :, :, i, :, j] for i, j in np.ndindex(wh, ww)]
         out = np.copy(cells[0])  # keeps the input's memory order
@@ -282,7 +268,6 @@ class MaxPool1D(_MaxPool):
     name = "maxpool1d"
 
     def forward(self, x, train, rng=None):
-        _check(x.ndim == 3, self.name, f"expected (N, C, L), got {x.shape}")
         return self._pool(x[:, :, None, :], 1, self.window)[:, :, 0, :]
 
     def backward(self, grad):
@@ -293,7 +278,6 @@ class MaxPool2D(_MaxPool):
     name = "maxpool2d"
 
     def forward(self, x, train, rng=None):
-        _check(x.ndim == 4, self.name, f"expected (N, C, H, W), got {x.shape}")
         return self._pool(x, self.window, self.window)
 
     def backward(self, grad):

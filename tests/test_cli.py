@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,23 @@ def test_compare_byte_identical_reruns(tmp_path, synth_dir):
         assert code == 0
         outs.append(out)
     for name in ("report.csv", "report.md", "runs.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_compare_report_does_not_depend_on_the_data_path(tmp_path, synth_dir):
+    moved = tmp_path / "elsewhere"
+    moved.mkdir()
+    shutil.copy(synth_dir / "data.csv", moved / "rows.csv")
+    shutil.copy(synth_dir / "schema.csv", moved / "features.csv")
+    outs = []
+    for data, schema in ((synth_dir / "data.csv", synth_dir / "schema.csv"),
+                         (moved / "rows.csv", moved / "features.csv")):
+        out = tmp_path / f"out{len(outs)}"
+        code = run_cli("compare", "--data", str(data), "--schema", str(schema),
+                       "--methods", "cca,wcr", "--runs", "2", "--epochs", "1", "--out", str(out))
+        assert code == 0
+        outs.append(out)
+    for name in ("report.md", "report.csv", "runs.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 

@@ -151,7 +151,9 @@ def test_config_json_and_hash_are_pinned():
         train=TrainConfig(learning_rate=0.01, epochs=3, batch_size=8, seed=5, optimizer="sgd"),
         arrangement_seed=2, autoencoder_code_dim=9, output_dir="elsewhere")
     assert plain.to_json() == PLAIN_CONFIG_JSON
-    assert plain.config_hash() == "1fddfbccf4fed4d6"
+    assert plain.config_hash() == "a42c53411c80bd38"  # the paths are not hashed
+    moved = ExperimentConfig(data="elsewhere/d.csv", schema="elsewhere/s.csv")
+    assert moved.to_json() != PLAIN_CONFIG_JSON and moved.config_hash() == plain.config_hash()
     assert synthetic.to_json() == SYNTHETIC_CONFIG_JSON
     assert synthetic.config_hash() == "3193eb93a63947bb"
 
@@ -557,17 +559,17 @@ def test_autoencoder_study_rows(dataset, tmp_path):
     assert "Reduced zero padding" not in text
 
 
-def saved_cca_checkpoint(tmp_path, dataset):
-    """A trained cca pipeline's checkpoint path and its arrays."""
-    pipe, _, _ = fit_pipeline(small_config(), "cca", dataset, train_seed=0)
-    path = tmp_path / "cca.npz"
+def saved_checkpoint(tmp_path, dataset, method="cca"):
+    """A trained pipeline's checkpoint path and its arrays."""
+    pipe, _, _ = fit_pipeline(small_config(), method, dataset, train_seed=0)
+    path = tmp_path / f"{method}.npz"
     save_pipeline(pipe, path)
     with np.load(path, allow_pickle=False) as data:
         return path, {name: data[name] for name in data.files}
 
 
 def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
-    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
+    path, arrays = saved_checkpoint(tmp_path, dataset)
     assert arrays["net_param_0001"].shape == (64,)
     arrays["net_param_0001"] = np.array([0.5])
     save_arrays(path, arrays)
@@ -576,7 +578,7 @@ def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
 
 
 def test_load_pipeline_rejects_a_checkpoint_without_feature_names(tmp_path, dataset):
-    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
+    path, arrays = saved_checkpoint(tmp_path, dataset)
     assert set(json.loads(str(arrays["meta_json"]))) == {"features", "method"}
     arrays["meta_json"] = np.array(json.dumps({"method": "cca"}))
     save_arrays(path, arrays)
@@ -585,7 +587,7 @@ def test_load_pipeline_rejects_a_checkpoint_without_feature_names(tmp_path, data
 
 
 def test_load_pipeline_rejects_unsupported_padding(tmp_path, dataset):
-    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
+    path, arrays = saved_checkpoint(tmp_path, dataset)
     spec_json = str(arrays["net_spec_json"])
     assert spec_json.count('"padding": "valid"') == 2
     arrays["net_spec_json"] = np.array(spec_json.replace('"valid"', '"same"', 1))
@@ -633,6 +635,21 @@ def _net_transposed(arrays):
     arrays["net_spec_json"] = np.array(json.dumps(spec, sort_keys=True))
 
 
+def _net_five_classes(arrays):
+    spec = json.loads(str(arrays["net_spec_json"]))
+    spec["layers"][-1]["args"]["classes"] = 5
+    arrays["net_spec_json"] = np.array(json.dumps(spec, sort_keys=True))
+    weight, bias = sorted(k for k in arrays if k.startswith("net_param_"))[-2:]
+    arrays[weight], arrays[bias] = arrays[weight][:, :5], arrays[bias][:5]
+
+
+def _ae_keep_short(arrays):
+    arrays["keep"] = arrays["keep"][:-1]
+
+
+_ae_keep_short.method = "autoencoder_sa"  # the checkpoint it mutates; cca by default
+
+
 @pytest.mark.parametrize("mutate, key, detail", [
     (_keep_at_500, "keep", "holds 500, outside the 66 features"),
     (_keep_repeated, "keep", "repeats a feature"),
@@ -641,9 +658,11 @@ def _net_transposed(arrays):
     (_mean_short, "mean", "has shape (65,), not (66,)"),
     (_stddev_zero, "stddev", "holds an entry that is not positive"),
     (_net_transposed, "net_spec_json", "takes input (1, 12, 8), the encoding gives (1, 8, 12)"),
+    (_net_five_classes, "net_spec_json", "outputs (5,), not the 12 rating classes"),
+    (_ae_keep_short, "ae_spec_json", "takes input (66,), the kept features give (65,)"),
 ])
 def test_load_pipeline_checks_arrays_against_features(tmp_path, dataset, mutate, key, detail):
-    path, arrays = saved_cca_checkpoint(tmp_path, dataset)
+    path, arrays = saved_checkpoint(tmp_path, dataset, getattr(mutate, "method", "cca"))
     mutate(arrays)
     save_arrays(path, arrays)
     with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint key {key!r} {detail}")):

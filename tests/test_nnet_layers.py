@@ -4,9 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finimg.nnet import (
+    MIN_SIDE,
     Network,
     NetworkSpec,
+    build_autoencoder,
+    build_cnn1d,
     build_cnn2d,
+    build_mlp,
     loss_crossentropy,
     softmax,
 )
@@ -20,6 +24,7 @@ from finimg.nnet.layers import (
     ShapeMismatchError,
 )
 from finimg.nnet.network import (
+    PREDICT_ROWS,
     SpecError,
     activation,
     conv1d,
@@ -446,3 +451,32 @@ def test_pool_after_conv_returns_dx_in_the_conv_output_order(one_d):
     assert is_channels_last(dx) and dx.shape == fmap.shape
     pool.forward(fmap, train=False)  # a backward consumes its forward's state
     assert pool.backward(np.ascontiguousarray(rng.normal(size=pooled.shape))).strides == dx.strides
+
+
+@st.composite
+def built_specs(draw):
+    """A network of each builder, on a drawn input size."""
+    kind = draw(st.sampled_from(("mlp", "cnn1d", "cnn2d", "autoencoder")))
+    if kind == "mlp":
+        return build_mlp(draw(st.integers(1, 40)))
+    if kind == "cnn1d":
+        return build_cnn1d(draw(st.integers(MIN_SIDE, 60)))
+    if kind == "cnn2d":
+        return build_cnn2d(draw(st.integers(MIN_SIDE, 24)), draw(st.integers(MIN_SIDE, 24)))
+    d = draw(st.integers(2, 40))
+    return build_autoencoder(d, draw(st.integers(1, d - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=built_specs(), rows=st.integers(1, 2 * PREDICT_ROWS + 2), train=st.booleans())
+def test_the_spec_walk_gives_every_layer_output_shape(spec, rows, train):
+    # The layers check no shapes, so the walk's shapes must be theirs.
+    net = Network(spec, seed=0)
+    shapes = spec.layer_shapes()
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(rows, *spec.input_shape))
+    out = x
+    for layer, shape in zip(net.layers, shapes, strict=True):
+        out = layer.forward(out, train, rng)
+        assert out.shape == (rows, *shape), layer.name
+    assert net.predict(x).shape == (rows, *shapes[-1])
