@@ -18,8 +18,9 @@ import numpy as np
 
 from .data import load_dataset, save_csv
 from .encoding import (
+    ARRANGEMENTS,
     DETERMINISTIC_METHODS,
-    RANDOMIZED_METHODS,
+    ZERO_PAD,
     arrange,
     default_spec,
     image,
@@ -141,14 +142,16 @@ def _cmd_encode(args) -> int:
         vector = np.where(np.isnan(ds.values[args.row]), 0.0, ds.values[args.row])
     with _stage("encode"):
         spec = default_spec(args.method, ds.schema, seed=args.seed or 0)
-        grid = image(vector, arrange(ds.schema, spec))
+        provenance = arrange(ds.schema, spec)
+        cells = image(vector, provenance)
         out = Path(args.out or "out")
         out.mkdir(parents=True, exist_ok=True)
         stem = out / args.method
-        save_grid(grid, f"{stem}_cells.csv", f"{stem}_provenance.csv")
-        render_pgm(grid, f"{stem}.pgm")
-    print(f"encoded row {args.row} as {grid.rows}x{grid.cols} {args.method} grid "
-          f"({grid.pad_count()} zero-pad cells) under {out}/")
+        save_grid(cells, provenance, f"{stem}_cells.csv", f"{stem}_provenance.csv")
+        render_pgm(cells, f"{stem}.pgm")
+    rows, cols = provenance.shape
+    print(f"encoded row {args.row} as {rows}x{cols} {args.method} grid "
+          f"({(provenance == ZERO_PAD).sum()} zero-pad cells) under {out}/")
     return 0
 
 
@@ -254,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="image one observation and render it")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--method", required=True,
-                   choices=DETERMINISTIC_METHODS + RANDOMIZED_METHODS)
+    p.add_argument("--method", required=True, choices=ARRANGEMENTS)
     p.add_argument("--row", type=int, default=0)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

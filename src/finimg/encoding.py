@@ -3,10 +3,10 @@
 Seven methods: sequential (SA), category chunks (CCA), Hilbert curve (HVA),
 and their randomized controls (RA, WCR, BCR, HVR); CONTROLS relates each
 deterministic method to its controls. Every arrange function returns an
-index map (the provenance): the source feature index of every cell, with
-ZERO_PAD marking padding cells. A map depends on the schema and the seed,
-never on values. grid_tensor is the one gather that images values through
-a map, and image() renders one row; padded cells hold exactly 0.
+index map (the provenance), the one record of a grid: the source feature
+index of every cell, with ZERO_PAD marking padding cells. A map depends on
+the schema and the seed, never on values. grid_tensor is the one gather
+that images values through a map, and image() one row; pads hold exactly 0.
 
 Randomized methods draw all randomness from an explicit seed through
 numpy's default PCG64 generator, so a published seed reproduces a grid.
@@ -30,6 +30,7 @@ ZERO_PAD = -1
 CONTROLS = {"sa": ("ra",), "cca": ("wcr", "bcr"), "hva": ("hvr",)}
 DETERMINISTIC_METHODS = tuple(CONTROLS)
 RANDOMIZED_METHODS = tuple(m for controls in CONTROLS.values() for m in controls)
+ARRANGEMENTS = DETERMINISTIC_METHODS + RANDOMIZED_METHODS
 
 
 class CapacityError(ValueError):
@@ -38,23 +39,6 @@ class CapacityError(ValueError):
 
 class ChunkOverflowError(CapacityError):
     """Raised when a section has more features than its chunk holds."""
-
-
-@dataclass(frozen=True)
-class ImageGrid:
-    cells: np.ndarray
-    provenance: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.cells.shape[1]
-
-    def pad_count(self) -> int:
-        return int((self.provenance == ZERO_PAD).sum())
 
 
 def grid_tensor(values: np.ndarray, provenance: np.ndarray) -> np.ndarray:
@@ -68,10 +52,9 @@ def grid_tensor(values: np.ndarray, provenance: np.ndarray) -> np.ndarray:
     return images
 
 
-def image(v: np.ndarray, provenance: np.ndarray) -> ImageGrid:
-    """One row of values imaged through an index map, with the map attached."""
-    v = np.asarray(v, dtype=float)
-    return ImageGrid(cells=grid_tensor(v[None, :], provenance)[0, 0], provenance=provenance)
+def image(v: np.ndarray, provenance: np.ndarray) -> np.ndarray:
+    """The cells of one row of values imaged through an index map."""
+    return grid_tensor(np.asarray(v, dtype=float)[None, :], provenance)[0, 0]
 
 
 def sequential_arrange(d: int, rows: int, cols: int) -> np.ndarray:
@@ -127,20 +110,18 @@ def hilbert_arrange(d: int) -> np.ndarray:
 class ArrangementSpec:
     """Which index map to build: method plus shape parameters.
 
-    rows/cols apply to sa and ra; chunk_dims/chunk_layout to the chunked
-    methods; Hilbert methods take their side from the feature count.
-    Deterministic methods ignore the seed.
+    The chunked methods place chunk_dims chunks in chunk_layout; sa and ra
+    pack the same canvas row by row; Hilbert methods take their side from
+    the feature count. Deterministic methods ignore the seed.
     """
 
     method: str
-    rows: int = 0
-    cols: int = 0
     chunk_dims: tuple[int, int] = (0, 0)
     chunk_layout: tuple[int, int] = (0, 0)
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in DETERMINISTIC_METHODS + RANDOMIZED_METHODS:
+        if self.method not in ARRANGEMENTS:
             raise ValueError(f"unknown arrangement method {self.method!r}")
 
 
@@ -155,8 +136,6 @@ def default_spec(method: str, schema: FeatureSchema, seed: int = 0) -> Arrangeme
     layout = (2, (n_sections + 1) // 2) if n_sections > 1 else (1, 1)
     return ArrangementSpec(
         method=method,
-        rows=layout[0] * side,
-        cols=layout[1] * side,
         chunk_dims=(side, side),
         chunk_layout=layout,
         seed=seed,
@@ -174,7 +153,8 @@ def arrange(schema: FeatureSchema, spec: ArrangementSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     d = len(schema)
     if spec.method in ("sa", "ra"):
-        prov = sequential_arrange(d, spec.rows, spec.cols)
+        (h, w), (grid_rows, grid_cols) = spec.chunk_dims, spec.chunk_layout
+        prov = sequential_arrange(d, grid_rows * h, grid_cols * w)
     elif spec.method in ("hva", "hvr"):
         prov = hilbert_arrange(d)
     else:
@@ -209,27 +189,28 @@ def reduce_features(ds: Dataset, target: int) -> np.ndarray:
     return np.sort(order[count - target :])
 
 
-def save_grid(grid: ImageGrid, cells_path: str | Path, provenance_path: str | Path) -> None:
+def save_grid(cells: np.ndarray, provenance: np.ndarray, cells_path: str | Path,
+              provenance_path: str | Path) -> None:
     """Write cell values and the provenance sidecar as CSV."""
     with open(cells_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in grid.cells:
+        for row in cells:
             writer.writerow([repr(float(x)) for x in row])
     with open(provenance_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in grid.provenance:
+        for row in provenance:
             writer.writerow([int(x) for x in row])
 
 
-def render_pgm(grid: ImageGrid, path: str | Path) -> None:
+def render_pgm(cells: np.ndarray, path: str | Path) -> None:
     """Render cell values as an ASCII PGM image (min-max scaled to 0..255)."""
-    lo = float(grid.cells.min())
-    hi = float(grid.cells.max())
+    lo = float(cells.min())
+    hi = float(cells.max())
     if hi > lo:
-        scaled = np.rint((grid.cells - lo) / (hi - lo) * 255).astype(int)
+        scaled = np.rint((cells - lo) / (hi - lo) * 255).astype(int)
     else:
-        scaled = np.zeros_like(grid.cells, dtype=int)
-    lines = ["P2", f"{grid.cols} {grid.rows}", "255"]
+        scaled = np.zeros_like(cells, dtype=int)
+    lines = ["P2", f"{cells.shape[1]} {cells.shape[0]}", "255"]
     for row in scaled:
         lines.append(" ".join(str(int(x)) for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -462,12 +462,13 @@ def load_pipeline(path: str | Path) -> FittedPipeline:
         raise ExperimentError(f"{path}: checkpoint records no feature names; retrain it")
     try:
         network = network_from_arrays(data, "net_")
-        autoencoder = network_from_arrays(data, "ae_") if "ae_spec_json" in data else None
+        autoencoder = network_from_arrays(data, "ae_") if meta.method == "autoencoder_sa" else None
     except SpecError as exc:
         raise CheckpointError(f"{path}: checkpoint {exc}") from None
+    provenance = None if meta.method in ("mlp", "cnn1d") else data["provenance"]
     pipe = FittedPipeline(meta.method, meta.features, data["keep"],
                           StandardizationParams(data["mean"], data["stddev"]), network,
-                          data.get("provenance"), autoencoder)
+                          provenance, autoencoder)
     _check_pipeline(pipe, path)
     return pipe
 
@@ -492,10 +493,11 @@ def _check_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
         fail("stddev", "holds an entry that is not positive")
     inputs = len(keep)
     if pipe.autoencoder is not None:  # it encodes the kept features; the map places the codes
-        if pipe.autoencoder.spec.input_shape != (inputs,):
-            fail("ae_spec_json", f"takes input {pipe.autoencoder.spec.input_shape}, "
-                                 f"the kept features give ({inputs},)")
-        inputs = pipe.autoencoder.spec.layer_shapes()[ENCODER_LAYERS - 1][0]
+        codes = int((pipe.provenance != ZERO_PAD).sum())
+        if not 1 <= codes < inputs or pipe.autoencoder.spec != build_autoencoder(inputs, codes):
+            fail("ae_spec_json", f"is not the auto-encoder of {inputs} kept features "
+                                 f"to the map's {codes} codes")
+        inputs = codes
     if pipe.provenance is not None:
         cells = pipe.provenance[pipe.provenance != ZERO_PAD]
         if pipe.provenance.dtype.kind not in "iu" or not np.array_equal(

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from finimg.encoding import ZERO_PAD, arrange, default_spec, hilbert_arrange, image, reduce_features
+from finimg.encoding import ZERO_PAD, arrange, default_spec, hilbert_arrange, reduce_features
 from finimg.experiment import ExperimentConfig, emit_report, grid_tensor, run_compare
 from finimg.hilbert import HilbertOrder, hilbert_d2xy, hilbert_xy2d
 from finimg.metrics import (
@@ -64,14 +64,13 @@ def test_criterion_2_encoding_provenance():
     checked = 0
     for schema in (build_schema("fundamental"), build_schema("ratio")):
         d = len(schema)
-        v = np.arange(d, dtype=float) + 1.0
         for method in ("sa", "ra", "cca", "wcr", "bcr", "hva", "hvr"):
             spec = default_spec(method, schema, seed=3)
-            grid = image(v, arrange(schema, spec))
-            assert (grid.rows, grid.cols) == expected_shapes[schema.dataset_kind][method], method
-            occupied = grid.provenance[grid.provenance != ZERO_PAD]
+            prov = arrange(schema, spec)
+            assert prov.shape == expected_shapes[schema.dataset_kind][method], method
+            occupied = prov[prov != ZERO_PAD]
             assert sorted(occupied.tolist()) == list(range(d))
-            assert grid.pad_count() == grid.rows * grid.cols - d
+            assert (prov == ZERO_PAD).sum() == prov.size - d
             checked += 1
         cca_spec = default_spec("cca", schema)
         expected_chunks = (9, 9) if schema.dataset_kind == "fundamental" else (4, 4)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -78,6 +79,25 @@ def test_encode_deterministic_for_seeded_method(tmp_path, synth_dir):
         )
     assert (out1 / "hvr_cells.csv").read_bytes() == (out2 / "hvr_cells.csv").read_bytes()
     assert (out1 / "hvr_provenance.csv").read_bytes() == (out2 / "hvr_provenance.csv").read_bytes()
+
+
+ENCODE_SHA256 = "5d0e484946b301049e755e7193c2744fe06e5dee816cf7dbf522a2319a2fee94"
+
+
+def test_encode_bytes_are_pinned(tmp_path, synth_dir, capsys, monkeypatch):
+    # Every method's cells CSV, provenance CSV, PGM and stdout line, hashed;
+    # a rewrite of the grid writers must keep each byte.
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    h = hashlib.sha256()
+    for method in ("sa", "ra", "cca", "wcr", "bcr", "hva", "hvr"):
+        assert run_cli("encode", "--data", str(synth_dir / "data.csv"),
+                       "--schema", str(synth_dir / "schema.csv"), "--method", method,
+                       "--row", "4", "--seed", "3", "--out", "enc") == 0
+        for name in (f"{method}_cells.csv", f"{method}_provenance.csv", f"{method}.pgm"):
+            h.update((tmp_path / "enc" / name).read_bytes())
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == ENCODE_SHA256
 
 
 def test_encode_bad_row_fails_with_stage(tmp_path, synth_dir, capsys):

@@ -30,30 +30,35 @@ from finimg.schema import (
 from support import Observation, dataset_from_observations
 
 
-def check_provenance(grid, d):
-    occupied = grid.provenance[grid.provenance != ZERO_PAD]
+def pad_count(prov):
+    return int((prov == ZERO_PAD).sum())
+
+
+def check_provenance(cells, prov, d):
+    occupied = prov[prov != ZERO_PAD]
     assert sorted(occupied.tolist()) == list(range(d))
-    assert grid.pad_count() == grid.rows * grid.cols - d
+    assert pad_count(prov) == cells.size - d
     # padded cells hold exactly zero, occupied cells the source value
-    assert (grid.cells[grid.provenance == ZERO_PAD] == 0.0).all()
+    assert (cells[prov == ZERO_PAD] == 0.0).all()
 
 
 def test_sequential_two_by_two():
-    grid = image(np.array([1.0, 2.0, 3.0, 4.0]), sequential_arrange(4, 2, 2))
-    assert grid.cells.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert grid.provenance.tolist() == [[0, 1], [2, 3]]
+    prov = sequential_arrange(4, 2, 2)
+    cells = image(np.array([1.0, 2.0, 3.0, 4.0]), prov)
+    assert cells.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert prov.tolist() == [[0, 1], [2, 3]]
 
 
 def test_sequential_canonical_padding():
-    grid = image(np.arange(332, dtype=float), sequential_arrange(332, 18, 27))
-    assert grid.pad_count() == 154
-    check_provenance(grid, 332)
+    prov = sequential_arrange(332, 18, 27)
+    assert pad_count(prov) == 154
+    check_provenance(image(np.arange(332, dtype=float), prov), prov, 332)
 
 
 def test_sequential_empty_vector():
-    grid = image(np.array([]), sequential_arrange(0, 2, 3))
-    assert grid.pad_count() == 6
-    assert (grid.cells == 0.0).all()
+    prov = sequential_arrange(0, 2, 3)
+    assert pad_count(prov) == 6
+    assert (image(np.array([]), prov) == 0.0).all()
 
 
 def test_sequential_capacity_error():
@@ -64,21 +69,23 @@ def test_sequential_capacity_error():
 def test_cca_fundamental_layout():
     schema = build_schema("fundamental")
     v = np.arange(332, dtype=float)
-    grid = image(v, category_chunk_arrange(schema, (9, 9), (2, 3)))
-    assert (grid.rows, grid.cols) == (18, 27)
-    check_provenance(grid, 332)
+    prov = category_chunk_arrange(schema, (9, 9), (2, 3))
+    cells = image(v, prov)
+    assert cells.shape == (18, 27)
+    check_provenance(cells, prov, 332)
     # balance sheet chunk (78 features in 81 cells) has 3 pads
-    chunk = grid.provenance[0:9, 0:9]
+    chunk = prov[0:9, 0:9]
     assert (chunk == ZERO_PAD).sum() == 3
     assert chunk[0, 0] == 0
 
 
 def test_cca_ratio_layout_59_zeros():
     schema = build_schema("ratio")
-    grid = image(np.arange(69, dtype=float), category_chunk_arrange(schema, (4, 4), (2, 4)))
-    assert (grid.rows, grid.cols) == (8, 16)
-    assert grid.pad_count() == 128 - 69
-    check_provenance(grid, 69)
+    prov = category_chunk_arrange(schema, (4, 4), (2, 4))
+    cells = image(np.arange(69, dtype=float), prov)
+    assert cells.shape == (8, 16)
+    assert pad_count(prov) == 128 - 69
+    check_provenance(cells, prov, 69)
 
 
 def test_cca_exact_fit_chunk_has_no_pad():
@@ -97,23 +104,23 @@ def test_cca_chunk_overflow_names_section():
 
 
 def test_hilbert_arrange_canonical_sizes():
-    grid = image(np.arange(332, dtype=float), hilbert_arrange(332))
-    assert (grid.rows, grid.cols) == (32, 32)
-    check_provenance(grid, 332)
-    grid = image(np.arange(69, dtype=float), hilbert_arrange(69))
-    assert (grid.rows, grid.cols) == (16, 16)
-    check_provenance(grid, 69)
+    for d, side in ((332, 32), (69, 16)):
+        prov = hilbert_arrange(d)
+        cells = image(np.arange(d, dtype=float), prov)
+        assert cells.shape == (side, side)
+        check_provenance(cells, prov, d)
 
 
 def test_hilbert_arrange_exact_capacity():
-    grid = image(np.array([1.0, 2.0, 3.0, 4.0]), hilbert_arrange(4))
-    assert (grid.rows, grid.cols) == (2, 2)
-    assert grid.pad_count() == 0
+    prov = hilbert_arrange(4)
+    cells = image(np.array([1.0, 2.0, 3.0, 4.0]), prov)
+    assert cells.shape == (2, 2)
+    assert pad_count(prov) == 0
     # order-1 curve from the lower-left corner
-    assert grid.cells[1, 0] == 1.0
-    assert grid.cells[0, 0] == 2.0
-    assert grid.cells[0, 1] == 3.0
-    assert grid.cells[1, 1] == 4.0
+    assert cells[1, 0] == 1.0
+    assert cells[0, 0] == 2.0
+    assert cells[0, 1] == 3.0
+    assert cells[1, 1] == 4.0
 
 
 def test_hilbert_arrange_follows_curve():
@@ -133,10 +140,10 @@ def fundamental_probe(per_section=4):
 @pytest.mark.parametrize("method", ["ra", "wcr", "bcr", "hvr"])
 def test_randomized_methods_preserve_values(method):
     schema, v = fundamental_probe()
-    spec = default_spec(method, schema, seed=11)
-    grid = image(v, arrange(schema, spec))
-    check_provenance(grid, len(v))
-    occupied = grid.cells[grid.provenance != ZERO_PAD]
+    prov = arrange(schema, default_spec(method, schema, seed=11))
+    cells = image(v, prov)
+    check_provenance(cells, prov, len(v))
+    occupied = cells[prov != ZERO_PAD]
     assert sorted(occupied.tolist()) == sorted(v.tolist())
 
 
@@ -144,12 +151,11 @@ def test_randomized_methods_preserve_values(method):
 def test_randomized_methods_deterministic_per_seed(method):
     schema, v = fundamental_probe()
     spec = default_spec(method, schema, seed=123)
-    a = image(v, arrange(schema, spec))
-    b = image(v, arrange(schema, spec))
-    assert np.array_equal(a.cells, b.cells)
-    assert np.array_equal(a.provenance, b.provenance)
+    a, b = arrange(schema, spec), arrange(schema, spec)
+    assert np.array_equal(image(v, a), image(v, b))
+    assert np.array_equal(a, b)
     other = arrange(schema, default_spec(method, schema, seed=124))
-    assert not np.array_equal(a.provenance, other)
+    assert not np.array_equal(a, other)
 
 
 def test_wcr_with_single_feature_chunks_equals_cca():
@@ -199,13 +205,11 @@ def test_bcr_is_a_block_permutation_of_cca():
 def test_default_spec_canonical_shapes():
     fund = build_schema("fundamental")
     ratio = build_schema("ratio")
-    sa_f = default_spec("sa", fund)
-    assert (sa_f.rows, sa_f.cols) == (18, 27)
+    assert arrange(fund, default_spec("sa", fund)).shape == (18, 27)
     cca_f = default_spec("cca", fund)
     assert cca_f.chunk_dims == (9, 9)
     assert cca_f.chunk_layout == (2, 3)
-    sa_r = default_spec("sa", ratio)
-    assert (sa_r.rows, sa_r.cols) == (8, 16)
+    assert arrange(ratio, default_spec("sa", ratio)).shape == (8, 16)
     cca_r = default_spec("cca", ratio)
     assert cca_r.chunk_dims == (4, 4)
     assert cca_r.chunk_layout == (2, 4)
@@ -284,18 +288,17 @@ def test_reduced_canonical_hilbert_grids():
 
 def test_grid_csv_roundtrip(tmp_path):
     schema, v = fundamental_probe()
-    grid = image(v, arrange(schema, default_spec("cca", schema)))
-    save_grid(grid, tmp_path / "cells.csv", tmp_path / "prov.csv")
-    cells = np.loadtxt(tmp_path / "cells.csv", delimiter=",")
-    provenance = np.loadtxt(tmp_path / "prov.csv", delimiter=",", dtype=int)
-    assert np.array_equal(cells, grid.cells)
-    assert np.array_equal(provenance, grid.provenance)
+    prov = arrange(schema, default_spec("cca", schema))
+    cells = image(v, prov)
+    save_grid(cells, prov, tmp_path / "cells.csv", tmp_path / "prov.csv")
+    assert np.array_equal(np.loadtxt(tmp_path / "cells.csv", delimiter=","), cells)
+    assert np.array_equal(np.loadtxt(tmp_path / "prov.csv", delimiter=",", dtype=int), prov)
 
 
 def test_render_pgm(tmp_path):
-    grid = image(np.array([0.0, 0.5, 1.0, -1.0]), sequential_arrange(4, 2, 2))
+    cells = image(np.array([0.0, 0.5, 1.0, -1.0]), sequential_arrange(4, 2, 2))
     path = tmp_path / "grid.pgm"
-    render_pgm(grid, path)
+    render_pgm(cells, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "P2"
     assert lines[1] == "2 2"
@@ -305,8 +308,7 @@ def test_render_pgm(tmp_path):
 
 
 def test_render_pgm_constant_grid(tmp_path):
-    grid = image(np.zeros(4), sequential_arrange(4, 2, 2))
-    render_pgm(grid, tmp_path / "flat.pgm")
+    render_pgm(image(np.zeros(4), sequential_arrange(4, 2, 2)), tmp_path / "flat.pgm")
     lines = (tmp_path / "flat.pgm").read_text().splitlines()
     assert all(x == "0" for row in lines[3:] for x in row.split())
 
@@ -321,8 +323,8 @@ def test_provenance_completeness_random_cases():
         v = rng.normal(size=len(schema))
         for method in ("sa", "cca", "hva", "ra", "wcr", "bcr", "hvr"):
             spec = default_spec(method, schema, seed=int(rng.integers(0, 2**32)))
-            grid = image(v, arrange(schema, spec))
-            check_provenance(grid, len(v))
+            prov = arrange(schema, spec)
+            check_provenance(image(v, prov), prov, len(v))
 
 
 INDEX_MAPS_SHA256 = "f85dafa6e305b6726114fd46a376efdc4853715f15abffe820818089fd0b5ea8"
@@ -361,9 +363,9 @@ def test_gather_matches_arranging_row_by_row(schema, method, seed, n):
     images = grid_tensor(values, prov)
     assert images.shape == (n, 1) + prov.shape
     for i in range(n):
-        grid = image(values[i], arrange(schema, spec))
-        assert np.array_equal(grid.provenance, prov)
-        assert np.array_equal(images[i, 0], grid.cells)
-        # image() places each feature in its cell by an explicit loop
+        assert np.array_equal(arrange(schema, spec), prov)
+        cells = image(values[i], prov)
+        assert np.array_equal(images[i, 0], cells)
+        # the oracle: place each feature in its cell by an explicit loop
         for (r, c), f in np.ndenumerate(prov):
-            assert grid.cells[r, c] == (0.0 if f == ZERO_PAD else values[i, f])
+            assert cells[r, c] == (0.0 if f == ZERO_PAD else values[i, f])

@@ -35,8 +35,9 @@ from finimg.experiment import (
     run_compare,
     save_pipeline,
 )
-from finimg.nnet import (DivergenceError, InputTooSmallError, Network, SpecError, TrainConfig,
-                         save_arrays)
+from finimg.nnet import (DivergenceError, InputTooSmallError, Network, NetworkSpec, SpecError,
+                         TrainConfig, network_arrays, save_arrays)
+from finimg.nnet.network import dense
 from finimg.schema import FUNDAMENTAL_SECTIONS, SECTION_LABELS
 from finimg.synthetic import SyntheticSpec, generate_synthetic
 
@@ -650,6 +651,18 @@ def _ae_keep_short(arrays):
 _ae_keep_short.method = "autoencoder_sa"  # the checkpoint it mutates; cca by default
 
 
+def _ae_two_layers(arrays):
+    # A valid mse network on the kept features, but not build_autoencoder's:
+    # it has no third layer to read a code width from.
+    for key in [k for k in arrays if k.startswith("ae_")]:
+        del arrays[key]
+    net = Network(NetworkSpec((66,), (dense(33), dense(66)), loss="mse"), seed=0)
+    arrays.update(network_arrays(net, "ae_"))
+
+
+_ae_two_layers.method = "autoencoder_sa"
+
+
 @pytest.mark.parametrize("mutate, key, detail", [
     (_keep_at_500, "keep", "holds 500, outside the 66 features"),
     (_keep_repeated, "keep", "repeats a feature"),
@@ -659,13 +672,31 @@ _ae_keep_short.method = "autoencoder_sa"  # the checkpoint it mutates; cca by de
     (_stddev_zero, "stddev", "holds an entry that is not positive"),
     (_net_transposed, "net_spec_json", "takes input (1, 12, 8), the encoding gives (1, 8, 12)"),
     (_net_five_classes, "net_spec_json", "outputs (5,), not the 12 rating classes"),
-    (_ae_keep_short, "ae_spec_json", "takes input (66,), the kept features give (65,)"),
+    (_ae_keep_short, "ae_spec_json",
+     "is not the auto-encoder of 65 kept features to the map's 33 codes"),
+    (_ae_two_layers, "ae_spec_json",
+     "is not the auto-encoder of 66 kept features to the map's 33 codes"),
 ])
 def test_load_pipeline_checks_arrays_against_features(tmp_path, dataset, mutate, key, detail):
     path, arrays = saved_checkpoint(tmp_path, dataset, getattr(mutate, "method", "cca"))
     mutate(arrays)
     save_arrays(path, arrays)
     with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint key {key!r} {detail}")):
+        load_pipeline(path)
+
+
+@pytest.mark.parametrize("method, dropped, key", [
+    ("cca", "provenance", "provenance"),
+    ("reduced_hva", "provenance", "provenance"),
+    ("autoencoder_sa", "provenance", "provenance"),
+    ("autoencoder_sa", "ae_", "ae_spec_json"),
+])
+def test_load_pipeline_names_the_missing_key(tmp_path, dataset, method, dropped, key):
+    # The method says which keys its checkpoint holds; a missing one used
+    # to be blamed on another key.
+    path, arrays = saved_checkpoint(tmp_path, dataset, method)
+    save_arrays(path, {k: v for k, v in arrays.items() if not k.startswith(dropped)})
+    with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint has no key {key!r}")):
         load_pipeline(path)
 
 
