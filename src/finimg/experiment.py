@@ -12,11 +12,10 @@ under one training seed, so run spread reflects the arrangement alone.
 Deterministic encodings repeat over training seeds train.seed+0..
 training_seeds-1 at arrangement seed 0, when ranking needs samples.
 
-On a machine with two or more usable CPUs, run_compare runs a plan of
-two or more fits in spawned worker processes, one per CPU, each with one
-BLAS thread. Those fits equal a serial run at OPENBLAS_NUM_THREADS=1 bit
-for bit, whatever the CPU count. A lone fit, or any plan on one CPU, runs
-in the calling process at its BLAS thread count, as finimg train does.
+Every fit and every inference runs at one BLAS thread (nnet.lanes), so
+a fit's bits depend on its config and data alone. On a machine with two
+or more usable CPUs, run_compare runs a plan of two or more fits in
+spawned worker processes, one per CPU.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ import csv
 import hashlib
 import json
 import multiprocessing
-import os
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -78,6 +76,7 @@ from .nnet import (
     network_from_arrays,
     save_arrays,
 )
+from .nnet.lanes import init_worker, one_blas_thread, usable_cpus
 from .nnet.train import train
 from .schema import N_CLASSES
 from .stats import (SIGNIFICANCE, ZeroVarianceError, one_sample_t_greater,
@@ -308,6 +307,7 @@ class FittedPipeline:
             return (1, *self.provenance.shape)
         return (len(self.keep),) if self.method == "mlp" else (1, len(self.keep))
 
+    @one_blas_thread()
     def transform(self, ds: Dataset) -> np.ndarray:
         values = standardize(ds.values, self.standardizer)[:, self.keep]
         if self.autoencoder is not None:  # its encoder half maps values to codes
@@ -555,12 +555,12 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
 
 def pool_size(n_fits: int) -> int:
     """Processes for n_fits fits: one per usable CPU, at most one per fit."""
-    return max(1, min(len(os.sched_getaffinity(0)), n_fits))
+    return max(1, min(usable_cpus(), n_fits))
 
 
 def run_pooled(fn, tasks: list[tuple], workers: int) -> list:
     """fn(*task) for each task in spawned worker processes that run numpy
-    at one BLAS thread; results in task order.
+    at one BLAS thread and one row lane; results in task order.
 
     Each task's arguments travel with its call, so a worker's start-up
     payload stays small: a worker that dies while starting (as one does
@@ -570,19 +570,10 @@ def run_pooled(fn, tasks: list[tuple], workers: int) -> list:
     cancelled and every worker has exited when this returns or raises.
     fn must be importable by name.
     """
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                               initializer=init_worker)
     try:
-        # numpy reads the variable when a worker imports it; every worker
-        # starts inside this block, since submit starts them.
-        saved = os.environ.get("OPENBLAS_NUM_THREADS")
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            futures = [pool.submit(fn, *task) for task in tasks]
-        finally:
-            if saved is None:
-                del os.environ["OPENBLAS_NUM_THREADS"]
-            else:
-                os.environ["OPENBLAS_NUM_THREADS"] = saved
+        futures = [pool.submit(fn, *task) for task in tasks]
         try:
             return [f.result() for f in futures]
         except BrokenProcessPool as exc:

@@ -28,12 +28,27 @@ outlive it; Network.predict clears every layer's state when it returns.
 
 Layers do not check shapes: NetworkSpec.layer_shapes proves each layer's
 input before it is built, and Network.forward checks each batch's shape.
+
+Row lanes (see lanes.py): the work whose output rows each read only the
+same rows of its inputs runs through by_rows, one contiguous range of
+batch rows per lane, into buffers the calling thread allocates. That is
+the im2col fills, the conv bias add, the copy of a conv's output gradient
+into its padded buffer, the max pool forward and backward, and ReLU
+forward and backward. ReLU and the pool backward write
+np.where(mask, a, 0.0) in one pass, as a's bits times 0 or 1 (_select).
+No GEMM is split: OpenBLAS picks its kernels by operand shape, and row
+blocks of a GEMM give other bits than the whole on some small-M shapes.
+Every GEMM runs whole on the calling thread, and the conv backward keeps
+its order: the weight-gradient GEMM, then the columns are freed, then the
+input gradient's columns are gathered.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .lanes import by_rows
 
 
 class ShapeMismatchError(ValueError):
@@ -111,11 +126,27 @@ class ReLU(Layer):
 
     def forward(self, x, train, rng=None):
         self._saved = None  # frees the last mask before the new one is made
-        self._saved = (x > 0,)
-        return np.where(self._saved[0], x, 0.0)
+        mask, out = np.empty_like(x, dtype=bool), np.empty_like(x)
+
+        def fill(lo, hi):
+            np.greater(x[lo:hi], 0, out=mask[lo:hi])
+            _select(mask[lo:hi], x[lo:hi], out[lo:hi])
+
+        by_rows(fill, x)
+        self._saved = (mask,)
+        return out
 
     def backward(self, grad):
-        return np.where(self._take()[0], grad, 0.0)
+        mask, dx = self._take()[0], np.empty_like(grad)
+        by_rows(lambda lo, hi: _select(mask[lo:hi], grad[lo:hi], dx[lo:hi]), grad)
+        return dx
+
+
+def _select(mask, a, out):
+    """out[...] = np.where(mask, a, 0.0), bit for bit and in one pass: a's
+    bits times 1 where mask holds and 0 (the bits of 0.0) elsewhere."""
+    bits = np.dtype(f"u{a.itemsize}")
+    np.multiply(a.view(bits), mask.view(np.uint8), out=out.view(bits))
 
 
 class Dropout(Layer):
@@ -165,7 +196,10 @@ class _Conv(_Weighted):
         s0, s1, s2, s3 = a.strides
         win = np.lib.stride_tricks.as_strided(
             a, (n, c, h - kh + 1, w - kw + 1, kh, kw), (s0, s1, s2, s3, s2, s3))
-        return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(-1, c * kh * kw)
+        win = win.transpose(0, 2, 3, 1, 4, 5)
+        cols = np.empty(win.shape)
+        by_rows(lambda lo, hi: np.copyto(cols[lo:hi], win[lo:hi]), win)
+        return cols.reshape(-1, c * kh * kw)
 
     def _correlate(self, x, weight):
         self._saved = None
@@ -174,7 +208,7 @@ class _Conv(_Weighted):
         oh, ow = h - kh + 1, w - kw + 1
         cols = self._im2col(x, kh, kw)
         out = cols @ weight.reshape(f, -1).T
-        out += self.bias
+        by_rows(lambda lo, hi: np.add(out[lo:hi], self.bias, out=out[lo:hi]), out)
         self._saved = (cols,)
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
@@ -189,7 +223,8 @@ class _Conv(_Weighted):
         if not self.needs_input_grad:
             return None
         gp = np.zeros((n, oh + 2 * (kh - 1), ow + 2 * (kw - 1), f)).transpose(0, 3, 1, 2)
-        gp[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = grad
+        inner = gp[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow]
+        by_rows(lambda lo, hi: np.copyto(inner[lo:hi], grad[lo:hi]), grad)
         cols_g = self._im2col(gp, kh, kw)
         rot = weight[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(f * kh * kw, c)
         return (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
@@ -228,8 +263,8 @@ class _MaxPool(Layer):
     the max and no earlier one did, so each window's gradient goes to its
     first maximum; a window holding NaN pools to NaN and passes none. The
     backward pass writes np.where(mask, grad, 0) into the strided slice
-    dx[:, :, i::wh, j::ww] of one zeroed dx; rows and columns past the last
-    whole window get zeros; dx is allocated in the input's memory order.
+    dx[:, :, i::wh, j::ww] of one dx; rows and columns past the last whole
+    window get zeros; dx is allocated in the input's memory order.
     MaxPool1D is the (1, window) case on (N, C, 1, L) views.
     """
 
@@ -242,15 +277,26 @@ class _MaxPool(Layer):
         oh, ow = h // wh, w // ww
         xr = x[:, :, : oh * wh, : ow * ww].reshape(n, c, oh, wh, ow, ww)
         cells = [xr[:, :, :, i, :, j] for i, j in np.ndindex(wh, ww)]
-        out = np.copy(cells[0])  # keeps the input's memory order
-        for cell in cells[1:]:
-            np.maximum(out, cell, out=out)
-        free = np.ones_like(out, dtype=bool)
-        masks = []
-        for cell in cells:
-            m = (cell == out) & free
-            free &= ~m
-            masks.append(m)
+        out = np.empty_like(cells[0])  # in the input's memory order
+        masks = [np.empty_like(out, dtype=bool) for _ in cells]
+        free = np.empty_like(out, dtype=bool)
+
+        def fill(lo, hi):
+            o, f = out[lo:hi], free[lo:hi]
+            # A 1-cell window pools to its cell: the max of a cell and itself.
+            np.maximum(cells[0][lo:hi], cells[1 % len(cells)][lo:hi], out=o)
+            for cell in cells[2:]:
+                np.maximum(o, cell[lo:hi], out=o)
+            for k, (cell, mask) in enumerate(zip(cells, masks)):
+                m = mask[lo:hi]
+                np.equal(cell[lo:hi], o, out=m)
+                if k == 0:
+                    np.logical_not(m, out=f)
+                else:
+                    m &= f
+                    f ^= m  # m lies inside f: this clears m's cells from f
+
+        by_rows(fill, x)
         in_axes = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outermost first
         self._saved = (masks, (h, w), in_axes)
         return out
@@ -258,9 +304,15 @@ class _MaxPool(Layer):
     def _pool_backward(self, grad, wh, ww):
         n, c, oh, ow = grad.shape
         masks, (h, w), in_axes = self._take()
-        dx = np.zeros(np.array((n, c, h, w))[in_axes]).transpose(np.argsort(in_axes))
-        for (i, j), m in zip(np.ndindex(wh, ww), masks):
-            dx[:, :, i : oh * wh : wh, j : ow * ww : ww] = np.where(m, grad, 0.0)
+        dx = np.empty(np.array((n, c, h, w))[in_axes]).transpose(np.argsort(in_axes))
+
+        def fill(lo, hi):
+            dx[lo:hi, :, oh * wh :] = 0.0  # past the last whole window
+            dx[lo:hi, :, :, ow * ww :] = 0.0
+            for (i, j), m in zip(np.ndindex(wh, ww), masks):
+                _select(m[lo:hi], grad[lo:hi], dx[lo:hi, :, i : oh * wh : wh, j : ow * ww : ww])
+
+        by_rows(fill, dx)
         return dx
 
 

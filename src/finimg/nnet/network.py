@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy_format
 
+from .lanes import one_blas_thread
 from .layers import (
     Conv1D,
     Conv2D,
@@ -230,6 +231,7 @@ class Network:
             x = layer.forward(x, train, rng)
         return x
 
+    @one_blas_thread()
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward pass (class probabilities for classifiers),
         PREDICT_ROWS rows at a time, so memory does not grow with len(x)."""

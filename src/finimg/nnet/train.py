@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lanes import one_blas_thread
 from .network import Network, NetworkSpec
 
 
@@ -83,6 +84,7 @@ def backward_and_step(net: Network, inputs: np.ndarray, targets: np.ndarray,
     return loss
 
 
+@one_blas_thread()
 def train(spec: NetworkSpec, inputs: np.ndarray, targets: np.ndarray,
           config: TrainConfig) -> Network:
     """Train a fresh network; history holds the mean loss per epoch."""

@@ -807,28 +807,42 @@ def _python(script: str, blas_threads: str) -> str:
     return done.stdout
 
 
-# A fit that ends each epoch on a short batch, by the BLAS thread count it
-# runs at (OpenBLAS on x86-64).
-TAIL_BATCH_HVA_HASH = {
-    "1": "5a1f9fccf09d06acf7ebde5eb2d51cc21264773ef0839e5f4b50307e9516e2af",
-    "2": "71622fc6c1ba9ebdedc5d655fdfed1c43a60eba0ce07b98626f10c8f43f62f25",
-}
+# A fit that ends each epoch on a short batch, at one BLAS thread (OpenBLAS
+# on x86-64). At 2 threads its conv weight gradient would give other bits.
+TAIL_BATCH_HVA_HASH = "5a1f9fccf09d06acf7ebde5eb2d51cc21264773ef0839e5f4b50307e9516e2af"
 
 
-def test_a_pooled_fit_has_one_thread_bits_and_an_in_process_fit_those_of_its_thread_count():
-    # At 2 threads, as by default on a 2-CPU machine, the pooled fit keeps
-    # the 1-thread bits while the same fit in process (a lone-fit compare,
-    # a one-CPU pool size, finimg train) takes the 2-thread bits.
-    setup = ("from support import parameter_hash, tail_batch_case\n"
-             "config, ds = tail_batch_case()\n")
-    fit = "parameter_hash(config, ds, 'hva', 7)"
-    pooled, in_process = _python(
-        setup + "from finimg.experiment import run_pooled\n"
-        f"print(run_pooled(parameter_hash, [(config, ds, 'hva', 7)], 1)[0])\nprint({fit})",
-        "2").split()
-    serial = _python(setup + f"print({fit})", "1").strip()
-    assert pooled == serial == TAIL_BATCH_HVA_HASH["1"]
-    assert in_process == TAIL_BATCH_HVA_HASH["2"]
+def test_every_method_trains_to_one_set_of_bits_on_every_path():
+    # Each method's tail-batch fit, and a 330-feature auto-encoder fit of two
+    # full 64-row batches (whose forward pass gives other bits at 2 threads),
+    # in process at 2 BLAS threads and at 1, on one usable CPU, and pooled.
+    script = """
+import json, os
+from support import parameter_hash, tail_batch_case
+from finimg.experiment import ALL_METHODS, ExperimentConfig, run_pooled
+from finimg.nnet import TrainConfig
+from finimg.schema import FUNDAMENTAL_SECTIONS
+from finimg.synthetic import SyntheticSpec, generate_synthetic
+config, ds = tail_batch_case()
+spec = SyntheticSpec(n_per_year=64, years=(2014, 2016), seed=3,
+                     section_counts={s: 55 for s in FUNDAMENTAL_SECTIONS})
+wide = ExperimentConfig(synthetic=spec, test_year=2016, methods=("autoencoder_sa",),
+                        train=TrainConfig(epochs=1, batch_size=64))
+tasks = [(config, ds, m, 7) for m in ALL_METHODS]
+tasks.append((wide, generate_synthetic(spec), "autoencoder_sa", 0))
+ways = {"in process": [parameter_hash(*task) for task in tasks]}
+if os.environ["OPENBLAS_NUM_THREADS"] == "2":
+    ways["pooled"] = run_pooled(parameter_hash, tasks, 2)
+    os.sched_getaffinity = lambda pid: {0}
+    ways["one CPU"] = [parameter_hash(*task) for task in tasks]
+print(json.dumps(ways))
+"""
+    ways = {f"{way} at {threads}": hashes
+            for threads in ("2", "1") for way, hashes in json.loads(_python(script, threads)).items()}
+    assert len(ways) == 4
+    assert ways["in process at 1"][ALL_METHODS.index("hva")] == TAIL_BATCH_HVA_HASH
+    for way, hashes in ways.items():
+        assert hashes == ways["in process at 1"], way
 
 
 def test_report_bytes_do_not_depend_on_the_pool_size_at_one_blas_thread(tmp_path):
