@@ -10,6 +10,7 @@ import csv
 import math
 import struct
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -129,11 +130,15 @@ _EMPTY = struct.unpack("<d", struct.pack("<Q", _EMPTY_BITS))[0]
 def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     """Load a data CSV with header ``id,year,quarter,rating,<features...>``.
 
-    Empty feature cells are missing (NaN); any other cell must be a finite
-    number, the quarter must be 1..4 and the rating a known one.
+    There must be at least one row. Empty feature cells are missing (NaN);
+    any other cell must be a finite number, the quarter must be 1..4 and
+    the rating a known one. Each row's feature cells parse straight into
+    one float64 buffer, so no Python float outlives its row; a row with an
+    empty cell, or one that does not parse, is parsed again cell by cell.
     """
     expected = _META_COLUMNS + list(schema.names)
-    ids, years, quarters, labels, rows, linenos = [], [], [], [], [], []
+    ids, years, quarters, labels, linenos = [], [], [], [], []
+    cells = array("d")  # the feature cells, row after row
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -155,19 +160,20 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
             except UnknownRatingError as exc:
                 raise DatasetError(f"{path}:{lineno}: column 4: {exc}") from None
             linenos.append(lineno)
-            parsed = []
-            for j, cell in enumerate(row[4:], start=5):
-                if cell == "":
-                    parsed.append(_EMPTY)
-                else:
+            start = len(cells)
+            try:
+                cells.extend(map(float, row[4:]))
+            except ValueError:  # an empty cell, or text that is no number
+                del cells[start:]
+                for j, cell in enumerate(row[4:], start=5):
                     try:
-                        parsed.append(float(cell))
+                        cells.append(float(cell) if cell else _EMPTY)
                     except ValueError:
                         raise DatasetError(
-                            f"{path}:{lineno}: column {j}: not a number: {cell!r}"
-                        ) from None
-            rows.append(parsed)
-    values = np.array(rows, dtype=float) if rows else np.empty((0, len(schema)))
+                            f"{path}:{lineno}: column {j}: not a number: {cell!r}") from None
+    if not linenos:
+        raise DatasetError(f"{path}: no data rows after the header")
+    values = np.frombuffer(cells, dtype=float).reshape(len(linenos), len(schema))
     empty = values.view(np.uint64) == _EMPTY_BITS
     bad = np.flatnonzero(~(np.isfinite(values) | empty))
     if bad.size:

@@ -112,7 +112,8 @@ class ArrangementSpec:
 
     The chunked methods place chunk_dims chunks in chunk_layout; sa and ra
     pack the same canvas row by row; Hilbert methods take their side from
-    the feature count. Deterministic methods ignore the seed.
+    the feature count. Deterministic methods ignore the seed, which must
+    not be negative.
     """
 
     method: str
@@ -123,6 +124,8 @@ class ArrangementSpec:
     def __post_init__(self):
         if self.method not in ARRANGEMENTS:
             raise ValueError(f"unknown arrangement method {self.method!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 def default_spec(method: str, schema: FeatureSchema, seed: int = 0) -> ArrangementSpec:

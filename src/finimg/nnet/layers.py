@@ -24,10 +24,15 @@ backward reads: a conv its im2col columns, a max pool its masks, input size
 and axis order, ReLU and dropout their masks, the dense kinds their input
 (softmax output also its probabilities), Flatten its input shape. Backward
 takes it through _take, which clears it, so only the gradients _dw and _db
-outlive it; Network.predict clears every layer's state when it returns.
+outlive it. A forward with train=False saves too, since finite-difference
+checks run a backward after it. infer(x) is the inference forward: the
+output of forward(x, train=False), bit for bit, with nothing left in
+_saved, so a conv's columns die when its forward returns; a max pool's
+infer runs the max fold alone and makes no masks.
 
 Layers do not check shapes: NetworkSpec.layer_shapes proves each layer's
-input before it is built, and Network.forward checks each batch's shape.
+input before it is built, and Network.forward and Network.predict check
+each input's shape.
 
 Row lanes (see lanes.py): the work whose output rows each read only the
 same rows of its inputs runs through by_rows, one contiguous range of
@@ -71,6 +76,12 @@ class Layer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """forward(x, train=False), keeping nothing for a backward."""
+        out = self.forward(x, train=False)
+        self._saved = None
+        return out
 
     def _take(self) -> tuple:
         saved, self._saved = self._saved, None
@@ -264,25 +275,27 @@ class _MaxPool(Layer):
     first maximum; a window holding NaN pools to NaN and passes none. The
     backward pass writes np.where(mask, grad, 0) into the strided slice
     dx[:, :, i::wh, j::ww] of one dx; rows and columns past the last whole
-    window get zeros; dx is allocated in the input's memory order.
-    MaxPool1D is the (1, window) case on (N, C, 1, L) views.
+    window get zeros; dx is allocated in the input's memory order. infer
+    runs the same fold and makes no masks, so its output has the forward's
+    bits. MaxPool1D is the (1, window) case on (N, C, 1, L) views.
     """
 
     def __init__(self, window: int):
         self.window = window
 
-    def _pool(self, x, wh, ww):
+    def _pool(self, x, wh, ww, keep):
+        """The pooled x; with keep, also saves the masks for the backward."""
         self._saved = None
         n, c, h, w = x.shape
         oh, ow = h // wh, w // ww
         xr = x[:, :, : oh * wh, : ow * ww].reshape(n, c, oh, wh, ow, ww)
         cells = [xr[:, :, :, i, :, j] for i, j in np.ndindex(wh, ww)]
         out = np.empty_like(cells[0])  # in the input's memory order
-        masks = [np.empty_like(out, dtype=bool) for _ in cells]
-        free = np.empty_like(out, dtype=bool)
+        masks = [np.empty_like(out, dtype=bool) for _ in cells] if keep else []
+        free = np.empty_like(out, dtype=bool) if keep else None
 
         def fill(lo, hi):
-            o, f = out[lo:hi], free[lo:hi]
+            o = out[lo:hi]
             # A 1-cell window pools to its cell: the max of a cell and itself.
             np.maximum(cells[0][lo:hi], cells[1 % len(cells)][lo:hi], out=o)
             for cell in cells[2:]:
@@ -291,14 +304,16 @@ class _MaxPool(Layer):
                 m = mask[lo:hi]
                 np.equal(cell[lo:hi], o, out=m)
                 if k == 0:
+                    f = free[lo:hi]
                     np.logical_not(m, out=f)
                 else:
                     m &= f
                     f ^= m  # m lies inside f: this clears m's cells from f
 
         by_rows(fill, x)
-        in_axes = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outermost first
-        self._saved = (masks, (h, w), in_axes)
+        if keep:
+            in_axes = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outermost first
+            self._saved = (masks, (h, w), in_axes)
         return out
 
     def _pool_backward(self, grad, wh, ww):
@@ -320,7 +335,10 @@ class MaxPool1D(_MaxPool):
     name = "maxpool1d"
 
     def forward(self, x, train, rng=None):
-        return self._pool(x[:, :, None, :], 1, self.window)[:, :, 0, :]
+        return self._pool(x[:, :, None, :], 1, self.window, keep=True)[:, :, 0, :]
+
+    def infer(self, x):
+        return self._pool(x[:, :, None, :], 1, self.window, keep=False)[:, :, 0, :]
 
     def backward(self, grad):
         return self._pool_backward(grad[:, :, None, :], 1, self.window)[:, :, 0, :]
@@ -330,7 +348,10 @@ class MaxPool2D(_MaxPool):
     name = "maxpool2d"
 
     def forward(self, x, train, rng=None):
-        return self._pool(x, self.window, self.window)
+        return self._pool(x, self.window, self.window, keep=True)
+
+    def infer(self, x):
+        return self._pool(x, self.window, self.window, keep=False)
 
     def backward(self, grad):
         return self._pool_backward(grad, self.window, self.window)

@@ -223,29 +223,30 @@ class Network:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        if x.shape[1:] != self.spec.input_shape:
-            raise ShapeMismatchError(
-                f"network expects input {self.spec.input_shape}, got {x.shape[1:]}"
-            )
+        self._check_input(x)
         for layer in self.layers:
             x = layer.forward(x, train, rng)
         return x
 
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.shape[1:] != self.spec.input_shape:
+            raise ShapeMismatchError(
+                f"network expects input {self.spec.input_shape}, got {x.shape[1:]}"
+            )
+
     @one_blas_thread()
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward pass (class probabilities for classifiers),
-        PREDICT_ROWS rows at a time, so memory does not grow with len(x)."""
-        out = np.concatenate([self.forward(x[i : i + PREDICT_ROWS], train=False)
-                              for i in range(0, max(len(x), 1), PREDICT_ROWS)])
-        # Once, not per chunk: each forward already drops its layer's last
-        # chunk, and freeing them all per chunk made malloc trim and re-fault.
-        self.clear_saved()
-        return out
-
-    def clear_saved(self) -> None:
-        """Drop what each layer's last forward saved for its backward."""
-        for layer in self.layers:
-            layer._saved = None
+        PREDICT_ROWS rows at a time through each layer's infer, so memory
+        does not grow with len(x) and no layer keeps state for a backward."""
+        self._check_input(x)
+        out = []
+        for i in range(0, max(len(x), 1), PREDICT_ROWS):
+            chunk = x[i : i + PREDICT_ROWS]
+            for layer in self.layers:
+                chunk = layer.infer(chunk)
+            out.append(chunk)
+        return np.concatenate(out)
 
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x).argmax(axis=1)

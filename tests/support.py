@@ -1,7 +1,8 @@
 """Helpers that only the tests use: observation fixtures, the
-finite-difference gradient check, the generator's oracle, and a fit that
+finite-difference gradient check, the generator's oracle, a fit that
 reports a hash of its parameters (importable by name, so a pool worker
-can run it).
+can run it), and layer inputs: channels-last copies, and values with NaN,
+infinities, signed zeros and ties.
 """
 from __future__ import annotations
 
@@ -113,3 +114,17 @@ def parameter_hash(config: ExperimentConfig, ds: Dataset, method: str, train_see
     """sha256 of one fit's classifier parameters, concatenated in layer order."""
     pipe, _, _ = fit_pipeline(config, method, ds, train_seed)
     return hashlib.sha256(b"".join(p.tobytes() for p in pipe.network.parameters())).hexdigest()
+
+
+def channels_last(x: np.ndarray) -> np.ndarray:
+    """x with the same values, its channel axis innermost, as a conv hands it on."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+
+
+def special_values(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal draws with NaN, infinities, zeros of both signs and ties mixed in."""
+    x = rng.normal(size=shape)
+    picks = rng.integers(0, 8, size=shape)
+    for k, value in enumerate((np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0)):
+        x[picks == k] = value
+    return x

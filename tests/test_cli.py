@@ -110,6 +110,31 @@ def test_encode_bad_row_fails_with_stage(tmp_path, synth_dir, capsys):
     assert "[data]" in capsys.readouterr().err
 
 
+def test_encode_names_a_negative_seed(tmp_path, synth_dir, capsys):
+    code = run_cli(
+        "encode", "--data", str(synth_dir / "data.csv"),
+        "--schema", str(synth_dir / "schema.csv"),
+        "--method", "ra", "--seed", "-1", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error [encode] seed must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("encode", "--method", "sa"),
+    ("compare", "--epochs", "1", "--runs", "2", "--training-seeds", "2"),
+    ("evaluate", "--model", "model.npz"),
+], ids=lambda command: command[0])
+def test_a_data_csv_without_rows_fails_at_the_data_stage(tmp_path, synth_dir, capsys, command):
+    data = tmp_path / "header_only.csv"
+    data.write_text((synth_dir / "data.csv").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    code = run_cli(*command, "--data", str(data), "--schema", str(synth_dir / "schema.csv"),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error [data] {data}: no data rows after the header\n"
+
+
 def test_train_and_evaluate_roundtrip(tmp_path, synth_dir):
     out = tmp_path / "model"
     code = run_cli(

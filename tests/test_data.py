@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finimg.data import (
     DatasetError,
@@ -232,6 +234,61 @@ def test_load_csv_empty_cells_stay_missing(tmp_path):
     assert np.isnan(values).tolist() == [[True, True, False, True, False, True]]
     # Missing cells hold the ordinary NaN, not the parser's marker.
     assert (values.view(np.uint64)[np.isnan(values)] == np.float64(np.nan).view(np.uint64)).all()
+
+
+def test_load_csv_rejects_a_header_without_rows(tmp_path):
+    schema = tiny_schema()
+    path = tmp_path / "data.csv"
+    path.write_text("id,year,quarter,rating," + ",".join(schema.names) + "\n\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path, schema)
+    assert str(info.value) == f"{path}: no data rows after the header"
+
+
+def cell_values(rows):
+    """Finite doubles of every magnitude and sign, and missing (NaN) cells."""
+    cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.nan))
+    return st.lists(st.lists(cell, min_size=6, max_size=6), min_size=1, max_size=rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=cell_values(8))
+def test_csv_roundtrip_keeps_every_finite_double_and_empty_cell_bit_for_bit(tmp_path_factory,
+                                                                           values):
+    ds = make_dataset([(f"e{i}", 2015, 1, v, 0) for i, v in enumerate(values)])
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    save_csv(ds, path)
+    back = load_csv(path, ds.schema).values
+    assert back.view(np.uint64).tolist() == ds.values.view(np.uint64).tolist()
+
+
+def _parses(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+NOT_NUMBERS = st.text(alphabet="abex.+-_ 0123", min_size=1, max_size=6).filter(
+    lambda t: not _parses(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), values=cell_values(5), bad=NOT_NUMBERS)
+def test_a_cell_that_is_no_number_names_its_line_and_column(tmp_path_factory, data, values, bad):
+    ds = make_dataset([(f"e{i}", 2015, 1, v, 0) for i, v in enumerate(values)])
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    save_csv(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row, column = data.draw(st.integers(1, len(values))), data.draw(st.integers(5, 10))
+    cells = lines[row].split(",")
+    cells[column - 1] = bad
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path, ds.schema)
+    assert str(info.value) == f"{path}:{row + 1}: column {column}: not a number: {bad!r}"
 
 
 def test_observation_validation():

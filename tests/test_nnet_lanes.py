@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from finimg.nnet import Network, TrainConfig, build_cnn2d, lanes
 from finimg.nnet.layers import Conv1D, Conv2D, Layer, MaxPool1D, MaxPool2D, ReLU
 from finimg.nnet.train import train
+from support import channels_last, special_values
 
 
 @contextmanager
@@ -22,11 +23,6 @@ def lanes_at(count):
     """Kernels split over count lanes, however few elements they hold."""
     with mock.patch.object(lanes, "_lanes", count), mock.patch.object(lanes, "LANE_ELEMENTS", 1):
         yield
-
-
-def channels_last(x):
-    """x with the same values, its channel axis innermost, as a conv hands it on."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
 
 
 def assert_same_bits(a, b):
@@ -39,15 +35,6 @@ def assert_same_bits(a, b):
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
     else:
         assert a == b
-
-
-def special_values(rng, shape):
-    """Normal draws with NaN, infinities, zeros of both signs and ties mixed in."""
-    x = rng.normal(size=shape)
-    picks = rng.integers(0, 8, size=shape)
-    for k, value in enumerate((np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0)):
-        x[picks == k] = value
-    return x
 
 
 def layer_case(data, rng, kind, n):

@@ -1,16 +1,32 @@
 """A layer's saved state lives from its forward to its backward.
 
-A backward consumes what its forward saved, inference keeps nothing, and
-one training step through the 32x32 network stays within a fixed memory
-budget.
+A backward consumes what its forward saved, and inference keeps nothing:
+each layer's infer gives the bits of its forward(train=False) and leaves
+no state, and predict gives the bits of 64-row forward passes. One
+training step through the 32x32 network and one 1000-row prediction
+through the 18x27 network stay within fixed memory budgets.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finimg.nnet import Network, build_autoencoder, build_cnn1d, build_cnn2d, build_mlp
-from finimg.nnet.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, SoftmaxOutput
+from finimg.nnet.layers import (
+    Conv1D,
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool1D,
+    MaxPool2D,
+    ReLU,
+    SoftmaxOutput,
+)
+from finimg.nnet.network import PREDICT_ROWS
+from support import channels_last, special_values
 
 SPECS = {
     "mlp": build_mlp(6),
@@ -97,3 +113,82 @@ def test_one_step_through_the_32x32_network_stays_within_its_memory_budget():
     gradients = sum(g.nbytes for g in net.gradients())
     assert saved_state(net) == []
     assert after - before <= gradients + 64 * 1024
+
+
+def test_predicting_1000_rows_through_the_18x27_network_stays_within_its_memory_budget():
+    # No layer keeps a chunk's masks or columns for a backward: a max pool's
+    # infer makes no masks, and a conv's columns die with its forward.
+    net = Network(build_cnn2d(18, 27), seed=0)
+    x = np.random.default_rng(0).normal(size=(1000, 1, 18, 27))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        probs = net.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (1000, 12)
+    assert (peak - before) / 1e6 <= 28
+    assert saved_state(net) == []
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+KINDS = ("dense", "softmax_output", "relu", "dropout", "flatten", "conv1d", "conv2d",
+         "maxpool1d", "maxpool2d")
+
+
+def layer_and_input(data, rng, kind):
+    """A layer of the kind and a batch for it, with NaN, infinities, signed
+    zeros and ties among its values."""
+    n, c = data.draw(st.integers(0, 9)), data.draw(st.integers(1, 3))
+    if kind in ("dense", "softmax_output"):
+        d, u = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        make = Dense if kind == "dense" else SoftmaxOutput
+        return make(rng.normal(size=(d, u)), rng.normal(size=u)), special_values(rng, (n, d))
+    one_d = kind.endswith("1d")
+    window = data.draw(st.integers(1, 3))
+    h = 1 if one_d else data.draw(st.integers(window, 7))
+    w = data.draw(st.integers(window, 8))
+    x = special_values(rng, (n, c, h, w))
+    if data.draw(st.booleans()):
+        x = channels_last(x)
+    if kind.startswith("conv"):
+        kh = 1 if one_d else data.draw(st.integers(1, h))
+        kw = data.draw(st.integers(1, w))
+        weight, bias = rng.normal(size=(2, c, kh, kw)), rng.normal(size=2)
+        layer = Conv1D(weight[:, :, 0].copy(), bias) if one_d else Conv2D(weight, bias)
+    elif kind.startswith("maxpool"):
+        layer = MaxPool1D(window) if one_d else MaxPool2D(window)
+    else:
+        layer = {"relu": ReLU(), "flatten": Flatten(),
+                 "dropout": Dropout(data.draw(st.sampled_from((0.0, 0.5))))}[kind]
+    return layer, (x[:, :, 0] if one_d else x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and infinities on purpose
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(KINDS))
+def test_infer_gives_the_bits_of_an_inference_forward_and_keeps_nothing(data, kind):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    layer, x = layer_and_input(data, rng, kind)
+    want = layer.forward(x, train=False)
+    assert layer._saved is not None  # a backward could follow this forward
+    got = layer.infer(x)
+    assert layer._saved is None
+    assert same_bits(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(tuple(SPECS)), rows=st.sampled_from((0, 1, 63, 64, 65, 1000)),
+       seed=st.integers(0, 2**32 - 1))
+def test_predict_gives_the_bits_of_64_row_inference_forwards(kind, rows, seed):
+    net = Network(SPECS[kind], seed=0)
+    x = special_values(np.random.default_rng(seed), (rows, *net.spec.input_shape))
+    want = np.concatenate([net.forward(x[i : i + PREDICT_ROWS], train=False)
+                           for i in range(0, max(rows, 1), PREDICT_ROWS)])
+    assert same_bits(net.predict(x), want)
+    assert saved_state(net) == []
