@@ -133,8 +133,10 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     There must be at least one row. Empty feature cells are missing (NaN);
     any other cell must be a finite number, the quarter must be 1..4 and
     the rating a known one. Each row's feature cells parse straight into
-    one float64 buffer, so no Python float outlives its row; a row with an
-    empty cell, or one that does not parse, is parsed again cell by cell.
+    one float64 buffer, so no Python float outlives its row. The parse
+    stops at an empty cell or at text that is no number; array.extend keeps
+    the cells it parsed before it, so that cell is the next one. An empty
+    cell is marked missing and the parse goes on from the cell after it.
     """
     expected = _META_COLUMNS + list(schema.names)
     ids, years, quarters, labels, linenos = [], [], [], [], []
@@ -160,17 +162,17 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
             except UnknownRatingError as exc:
                 raise DatasetError(f"{path}:{lineno}: column 4: {exc}") from None
             linenos.append(lineno)
-            start = len(cells)
-            try:
-                cells.extend(map(float, row[4:]))
-            except ValueError:  # an empty cell, or text that is no number
-                del cells[start:]
-                for j, cell in enumerate(row[4:], start=5):
-                    try:
-                        cells.append(float(cell) if cell else _EMPTY)
-                    except ValueError:
-                        raise DatasetError(
-                            f"{path}:{lineno}: column {j}: not a number: {cell!r}") from None
+            start, feats = len(cells), iter(row[4:])
+            while True:
+                try:
+                    cells.extend(map(float, feats))
+                    break
+                except ValueError:  # an empty cell, or text that is no number
+                    j = len(cells) - start  # extend kept the cells before it
+                    if row[4 + j]:
+                        raise DatasetError(f"{path}:{lineno}: column {j + 5}: "
+                                           f"not a number: {row[4 + j]!r}") from None
+                    cells.append(_EMPTY)  # and parse on from the next cell
     if not linenos:
         raise DatasetError(f"{path}: no data rows after the header")
     values = np.frombuffer(cells, dtype=float).reshape(len(linenos), len(schema))

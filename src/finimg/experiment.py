@@ -15,7 +15,8 @@ training_seeds-1 at arrangement seed 0, when ranking needs samples.
 Every fit and every inference runs at one BLAS thread (nnet.lanes), so
 a fit's bits depend on its config and data alone. On a machine with two
 or more usable CPUs, run_compare runs a plan of two or more fits in
-spawned worker processes, one per CPU.
+forked worker processes, one per CPU (run_pooled), which start with
+numpy and finimg already imported.
 """
 from __future__ import annotations
 
@@ -558,27 +559,27 @@ def pool_size(n_fits: int) -> int:
 
 
 def run_pooled(fn, tasks: list[tuple], workers: int) -> list:
-    """fn(*task) for each task in spawned worker processes that run numpy
+    """fn(*task) for each task in forked worker processes that run numpy
     at one BLAS thread and one row lane; results in task order.
 
-    Each task's arguments travel with its call, so a worker's start-up
-    payload stays small: a worker that dies while starting (as one does
-    when it re-runs an unguarded calling script) breaks the pool with an
-    ExperimentError instead of blocking the parent's write to it. The
-    first task in order that raises re-raises here; pending tasks are
-    cancelled and every worker has exited when this returns or raises.
-    fn must be importable by name.
+    A forked worker starts with the parent's modules imported, so it pays
+    no interpreter start or import and does not re-run the calling script:
+    a script needs no `if __name__ == "__main__":` guard. The workers are
+    forked before the executor starts its manager thread. Each task's
+    arguments travel with its call. A worker that dies breaks the pool
+    with an ExperimentError. The first task in order that raises
+    re-raises here; pending tasks are cancelled and every worker has
+    exited when this returns or raises. fn must be a module-level
+    function: it is pickled by name.
     """
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                initializer=init_worker)
     try:
         futures = [pool.submit(fn, *task) for task in tasks]
         try:
             return [f.result() for f in futures]
         except BrokenProcessPool as exc:
-            raise ExperimentError(
-                "a worker process exited abruptly; a script that calls run_compare "
-                'must do so under `if __name__ == "__main__":`') from exc
+            raise ExperimentError("a worker process died before its fits were done") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

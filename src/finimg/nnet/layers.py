@@ -17,7 +17,10 @@ views, and it pads its output gradient into a channels-last buffer. A max
 pool keeps its input's order in its output, masks and input gradient, so
 the gradient reaching a convolution's backward is already the
 channels-last matrix its weight GEMM reads. Flatten copies to C order,
-because the dense weights read (C, H, W) order.
+because the dense weights read (C, H, W) order. A convolution's im2col
+row holds its window in (kh, kw, c) order, the channels-last order of its
+input, so the fill copies contiguous runs; the weights keep their stored
+(f, c, kh, kw) layout, and the GEMMs read them in the columns' order.
 
 Saved state: a forward drops the last batch's _saved, then saves what its
 backward reads: a conv its im2col columns, a max pool its masks, input size
@@ -196,21 +199,24 @@ class Flatten(Layer):
 class _Conv(_Weighted):
     """One stride-1 im2col cross-correlation over (N, C, H, W) inputs.
 
-    Conv1D runs it on (N, C, 1, L) views; the column order (c, 1, k)
-    equals (c, k), so both layers hand the same operands to the GEMMs.
+    A column row holds one window in (kh, kw, c) order, the order of the
+    channels-last input, so each of its kh runs of kw * c values is one
+    contiguous run of the input. The GEMMs read the stored (f, c, kh, kw)
+    weight in that order, and the weight gradient is folded back to the
+    stored layout. Conv1D runs it on (N, C, 1, L) views; its column order
+    (1, k, c) equals (k, c).
     """
 
     @staticmethod
     def _im2col(a, kh, kw):
-        """The stride-1 kh x kw windows of (N, C, H, W) a, one channels-last row each."""
+        """The stride-1 kh x kw windows of (N, C, H, W) a, one (kh, kw, c) row each."""
         n, c, h, w = a.shape
         s0, s1, s2, s3 = a.strides
         win = np.lib.stride_tricks.as_strided(
-            a, (n, c, h - kh + 1, w - kw + 1, kh, kw), (s0, s1, s2, s3, s2, s3))
-        win = win.transpose(0, 2, 3, 1, 4, 5)
+            a, (n, h - kh + 1, w - kw + 1, kh, kw, c), (s0, s2, s3, s2, s3, s1))
         cols = np.empty(win.shape)
         by_rows(lambda lo, hi: np.copyto(cols[lo:hi], win[lo:hi]), win)
-        return cols.reshape(-1, c * kh * kw)
+        return cols.reshape(-1, kh * kw * c)
 
     def _correlate(self, x, weight):
         self._saved = None
@@ -218,7 +224,7 @@ class _Conv(_Weighted):
         n, _, h, w = x.shape
         oh, ow = h - kh + 1, w - kw + 1
         cols = self._im2col(x, kh, kw)
-        out = cols @ weight.reshape(f, -1).T
+        out = cols @ weight.transpose(0, 2, 3, 1).reshape(f, -1).T
         by_rows(lambda lo, hi: np.add(out[lo:hi], self.bias, out=out[lo:hi]), out)
         self._saved = (cols,)
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
@@ -229,7 +235,8 @@ class _Conv(_Weighted):
         h, w = oh + kh - 1, ow + kw - 1
         gmat = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(n * oh * ow, f)
         # The columns are freed here, before the input gradient's are gathered.
-        self._dw = (gmat.T @ self._take()[0]).reshape(self.weight.shape)
+        dw = (gmat.T @ self._take()[0]).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+        self._dw = np.ascontiguousarray(dw).reshape(self.weight.shape)
         self._db = gmat.sum(axis=0)
         if not self.needs_input_grad:
             return None
@@ -237,12 +244,15 @@ class _Conv(_Weighted):
         inner = gp[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow]
         by_rows(lambda lo, hi: np.copyto(inner[lo:hi], grad[lo:hi]), grad)
         cols_g = self._im2col(gp, kh, kw)
-        rot = weight[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(f * kh * kw, c)
+        rot = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * f, c)
         return (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 class Conv1D(_Conv):
-    name = "conv1d"  # weight (filters, channels, kernel)
+    """The one-row _Conv on (N, C, L) inputs, with a stored (filters,
+    channels, kernel) weight; its columns hold each window in (k, c) order."""
+
+    name = "conv1d"
 
     def forward(self, x, train, rng=None):
         return self._correlate(x[:, :, None, :], self.weight[:, :, None, :])[:, :, 0, :]

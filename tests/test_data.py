@@ -291,6 +291,37 @@ def test_a_cell_that_is_no_number_names_its_line_and_column(tmp_path_factory, da
     assert str(info.value) == f"{path}:{row + 1}: column {column}: not a number: {bad!r}"
 
 
+CELL_TEXT = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.just(""))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), rows=st.lists(st.lists(CELL_TEXT, min_size=6, max_size=6),
+                                     min_size=1, max_size=6))
+def test_blank_and_bad_cells_anywhere_load_as_a_per_cell_parse(tmp_path_factory, data, rows):
+    for _ in range(data.draw(st.integers(0, 2))):  # text that is no number, anywhere
+        rows[data.draw(st.integers(0, len(rows) - 1))][data.draw(st.integers(0, 5))] = \
+            data.draw(NOT_NUMBERS)
+    schema = tiny_schema()
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text("id,year,quarter,rating," + ",".join(schema.names) + "".join(
+        f"\ne{i},2015,1,AA+," + ",".join(r) for i, r in enumerate(rows)) + "\n", encoding="utf-8")
+    want, error = [], None
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                want.append(float(cell) if cell else math.nan)
+            except ValueError:
+                error = error or f"{path}:{i + 2}: column {j + 5}: not a number: {cell!r}"
+    if error is not None:
+        with pytest.raises(DatasetError) as info:
+            load_csv(path, schema)
+        assert str(info.value) == error
+    else:
+        values = load_csv(path, schema).values
+        assert values.view(np.uint64).tolist() == \
+            np.array(want).reshape(len(rows), 6).view(np.uint64).tolist()
+
+
 def test_observation_validation():
     with pytest.raises(DatasetError):
         Observation("a", 2015, 5, np.zeros(6), 0)

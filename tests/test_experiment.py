@@ -33,6 +33,7 @@ from finimg.experiment import (
     load_pipeline,
     pool_size,
     run_compare,
+    run_pooled,
     save_pipeline,
 )
 from finimg.nnet import (DivergenceError, InputTooSmallError, Network, NetworkSpec, SpecError,
@@ -809,7 +810,7 @@ def _python(script: str, blas_threads: str) -> str:
 
 # A fit that ends each epoch on a short batch, at one BLAS thread (OpenBLAS
 # on x86-64). At 2 threads its conv weight gradient would give other bits.
-TAIL_BATCH_HVA_HASH = "5a1f9fccf09d06acf7ebde5eb2d51cc21264773ef0839e5f4b50307e9516e2af"
+TAIL_BATCH_HVA_HASH = "666fea160e87b57bd79d9c2214ddea08ce718944c10b6bfedade76421659d2c4"
 
 
 def test_every_method_trains_to_one_set_of_bits_on_every_path():
@@ -869,25 +870,47 @@ for cpus in (1, 2):
         assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
 
 
-def test_an_unguarded_script_fails_instead_of_hanging(tmp_path):
-    # Each spawned worker re-runs this script, whose top-level run_compare
-    # cannot start processes there, so the worker dies while starting.
-    script = tmp_path / "unguarded.py"
-    script.write_text("""
+def test_an_unguarded_script_gives_the_records_of_a_guarded_one(tmp_path):
+    # Forked workers do not re-run the calling script, so a script that
+    # calls run_compare at its top level runs the pooled protocol as one
+    # under `if __name__ == "__main__":` does.
+    body = f"""
+os.sched_getaffinity = lambda pid: {{0, 1}}
+spec = SyntheticSpec(n_per_year=60, years=(2014, 2016), seed=0,
+                     section_counts={{s: 11 for s in FUNDAMENTAL_SECTIONS}})
+report = run_compare(ExperimentConfig(synthetic=spec, methods=("mlp", "cca"),
+                                      train=TrainConfig(epochs=1, batch_size=64)))
+emit_report(report, {str(tmp_path)!r} + "/" + OUT)
+"""
+    head = """
 import os
-os.sched_getaffinity = lambda pid: {0, 1}
-from finimg.experiment import ExperimentConfig, run_compare
+from finimg.experiment import ExperimentConfig, emit_report, run_compare
 from finimg.nnet import TrainConfig
 from finimg.schema import FUNDAMENTAL_SECTIONS
 from finimg.synthetic import SyntheticSpec
-spec = SyntheticSpec(n_per_year=60, years=(2014, 2016), seed=0,
-                     section_counts={s: 11 for s in FUNDAMENTAL_SECTIONS})
-run_compare(ExperimentConfig(synthetic=spec, methods=("mlp", "cca"),
-                             train=TrainConfig(epochs=1, batch_size=64)))
-""")
+"""
+    guarded = "\nif __name__ == '__main__':\n" + "".join(
+        f"    {line}\n" for line in body.strip().splitlines())
     root = Path(__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
-    assert done.returncode == 1
-    assert ('ExperimentError: a worker process exited abruptly; a script that calls '
-            'run_compare must do so under `if __name__ == "__main__":`') in done.stderr
+    for name, text in (("unguarded", body), ("guarded", guarded)):
+        script = tmp_path / f"{name}.py"
+        script.write_text(head + f"OUT = {name!r}\n" + text)
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+        assert done.returncode == 0, done.stderr
+    names = sorted(p.name for p in (tmp_path / "guarded").iterdir())
+    assert "runs.csv" in names
+    for name in names:
+        assert (tmp_path / "unguarded" / name).read_bytes() == \
+            (tmp_path / "guarded" / name).read_bytes(), name
+
+
+def _die():
+    """A pooled task whose worker exits at once."""
+    os._exit(1)
+
+
+def test_a_worker_that_dies_fails_the_pool_and_leaves_no_process():
+    with pytest.raises(ExperimentError, match="a worker process died"):
+        run_pooled(_die, [(), (), ()], 2)
+    assert multiprocessing.active_children() == []

@@ -22,6 +22,7 @@ from finimg.nnet.layers import (
     MaxPool2D,
     ReLU,
     ShapeMismatchError,
+    _Conv,
 )
 from finimg.nnet.network import (
     PREDICT_ROWS,
@@ -243,6 +244,45 @@ def test_conv_matches_loop_reference(data, one_d):
     for got, want in ((out, out_ref), (dx, dx_ref), (dw, dw_ref), (layer._db, db_ref)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=CONV_RTOL, atol=CONV_ATOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), layout=st.sampled_from(("contiguous", "channels_last")))
+def test_im2col_rows_hold_each_window_in_kh_kw_c_order(data, layout):
+    n, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    h, w = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    kh, kw = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+    x = with_layout(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+                    .normal(size=(n, c, h, w)), layout)
+    want = [[x[ni, ci, i + a, j + b] for a in range(kh) for b in range(kw) for ci in range(c)]
+            for ni in range(n) for i in range(h - kh + 1) for j in range(w - kw + 1)]
+    assert _Conv._im2col(x, kh, kw).tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), one_d=st.booleans(),
+       layout=st.sampled_from(("contiguous", "channels_last")))
+def test_conv_forward_on_stored_weights_is_the_loop_cross_correlation(data, one_d, layout):
+    # The weights stay (f, c, kh, kw), or (f, c, k) for Conv1D, whatever
+    # order the columns take.
+    n, c, f = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    h = 1 if one_d else data.draw(st.integers(1, 5))
+    w = data.draw(st.integers(1, 6))
+    kh, kw = (1 if one_d else data.draw(st.integers(1, h))), data.draw(st.integers(1, w))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = with_layout(rng.normal(size=(n, c, h, w)), layout)
+    weight, bias = rng.normal(size=(f, c, kh, kw)), rng.normal(size=f)
+    want = np.array([[[[bias[fi] + sum(weight[fi, ci, a, b] * x[ni, ci, i + a, j + b]
+                                       for ci in range(c) for a in range(kh) for b in range(kw))
+                        for j in range(w - kw + 1)] for i in range(h - kh + 1)]
+                      for fi in range(f)] for ni in range(n)])
+    if one_d:
+        got = Conv1D(weight[:, :, 0, :].copy(), bias).forward(x[:, :, 0, :], train=False)
+        want = want[:, :, 0, :]
+    else:
+        got = Conv2D(weight, bias).forward(x, train=False)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def with_layout(x, layout):
