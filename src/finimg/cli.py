@@ -90,7 +90,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")

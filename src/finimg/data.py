@@ -6,7 +6,6 @@ after standardization, which is the training-set feature mean.
 """
 from __future__ import annotations
 
-import csv
 import math
 import struct
 import warnings
@@ -23,6 +22,8 @@ from .schema import (
     UnknownRatingError,
     load_schema,
     map_rating,
+    read_rows,
+    write_rows,
 )
 
 
@@ -139,14 +140,13 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     cell is marked missing and the parse goes on from the cell after it.
     """
     expected = _META_COLUMNS + list(schema.names)
-    ids, years, quarters, labels, linenos = [], [], [], [], []
+    ids, years, quarters, labels, linenos = [], array("q"), [], [], []
     cells = array("d")  # the feature cells, row after row
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with read_rows(path, DatasetError) as rows:
+        _, header = next(rows, (0, None))
         if header != expected:
             raise DatasetError(f"{path}: header does not match schema feature order")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != len(expected):
@@ -157,6 +157,11 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
                 quarters.append(int(row[2]))
             except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: bad period field: {exc}") from None
+            except OverflowError:  # array("q") holds the years as numpy's 64-bit int
+                raise DatasetError(f"{path}:{lineno}: column 2: year {row[1]} is outside "
+                                   "the 64-bit integers") from None
+            if not 1 <= quarters[-1] <= 4:
+                raise DatasetError(f"{path}:{lineno}: column 3: quarter {quarters[-1]} outside 1..4")
             try:
                 labels.append(map_rating(row[3]))
             except UnknownRatingError as exc:
@@ -183,16 +188,11 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
         raise DatasetError(f"{path}:{linenos[i]}: column {j + 5}: "
                            f"value {float(values[i, j])} is not finite")
     values[empty] = math.nan
-    quarters = np.array(quarters, dtype=int)
-    bad = np.flatnonzero((quarters < 1) | (quarters > 4))
-    if bad.size:
-        i = int(bad[0])
-        raise DatasetError(f"{path}:{linenos[i]}: column 3: quarter {quarters[i]} outside 1..4")
     return Dataset(
         schema=schema,
         entity_ids=tuple(ids),
         years=np.array(years, dtype=int),
-        quarters=quarters,
+        quarters=np.array(quarters, dtype=int),
         values=values,
         labels=np.array(labels, dtype=int),
     )
@@ -200,9 +200,8 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
 
 def save_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back out; load_csv on the result round-trips."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_META_COLUMNS + list(ds.schema.names))
+    def rows():  # one at a time: no list of every row is built
+        yield _META_COLUMNS + list(ds.schema.names)
         for i in range(len(ds)):
             row = [
                 ds.entity_ids[i],
@@ -212,7 +211,9 @@ def save_csv(ds: Dataset, path: str | Path) -> None:
             ]
             for v in ds.values[i]:
                 row.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+            yield row
+
+    write_rows(path, rows())
 
 
 def load_dataset(data_path: str | Path, schema_path: str | Path) -> Dataset:

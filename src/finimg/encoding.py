@@ -13,7 +13,6 @@ numpy's default PCG64 generator, so a published seed reproduces a grid.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .hilbert import hilbert_d2xy, min_order
-from .schema import FeatureSchema
+from .schema import FeatureSchema, write_rows
 
 ZERO_PAD = -1
 
@@ -195,14 +194,8 @@ def reduce_features(ds: Dataset, target: int) -> np.ndarray:
 def save_grid(cells: np.ndarray, provenance: np.ndarray, cells_path: str | Path,
               provenance_path: str | Path) -> None:
     """Write cell values and the provenance sidecar as CSV."""
-    with open(cells_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in cells:
-            writer.writerow([repr(float(x)) for x in row])
-    with open(provenance_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in provenance:
-            writer.writerow([int(x) for x in row])
+    write_rows(cells_path, ([repr(float(x)) for x in row] for row in cells))
+    write_rows(provenance_path, ([int(x) for x in row] for row in provenance))
 
 
 def render_pgm(cells: np.ndarray, path: str | Path) -> None:

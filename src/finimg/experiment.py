@@ -20,7 +20,6 @@ numpy and finimg already imported.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import multiprocessing
@@ -79,7 +78,7 @@ from .nnet import (
 )
 from .nnet.lanes import init_worker, one_blas_thread, usable_cpus
 from .nnet.train import train
-from .schema import N_CLASSES
+from .schema import N_CLASSES, write_rows
 from .stats import (SIGNIFICANCE, ZeroVarianceError, one_sample_t_greater,
                     pairwise_t_bonferroni, summarize)
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -489,6 +488,8 @@ def _check_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
     for key, values in vars(pipe.standardizer).items():  # mean, stddev
         if values.shape != (d,):
             fail(key, f"has shape {values.shape}, not ({d},)")
+        if values.dtype.kind != "f" or not np.isfinite(values).all():
+            fail(key, "holds an entry that is not a finite float")
     if not np.all(pipe.standardizer.stddev > 0):
         fail("stddev", "holds an entry that is not positive")
     inputs = len(keep)
@@ -680,10 +681,7 @@ def _cell(value) -> str:
 def write_table(path: str | Path, cls, rows, exclude: tuple[str, ...] = ()) -> Path:
     """Write dataclass rows as CSV: one column per field of cls not in exclude."""
     names = [f.name for f in fields(cls) if f.name not in exclude]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows([_cell(getattr(row, n)) for n in names] for row in rows)
+    write_rows(path, [names, *([_cell(getattr(row, n)) for n in names] for row in rows)])
     return Path(path)
 
 

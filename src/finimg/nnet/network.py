@@ -318,5 +318,7 @@ def network_from_arrays(data, prefix: str = "") -> Network:
         stored = data[name]
         if stored.shape != p.shape:
             raise SpecError(f"key {name!r} has shape {stored.shape}, not {p.shape}")
+        if stored.dtype.kind != "f" or not np.isfinite(stored).all():
+            raise SpecError(f"key {name!r} holds an entry that is not a finite float")
         p[...] = stored
     return net

@@ -8,6 +8,7 @@ contiguously and the sections appearing in their fixed statement order.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -125,12 +126,28 @@ def build_schema(kind: str, counts: dict[str, int] | None = None) -> FeatureSche
     return FeatureSchema(tuple(features), kind)
 
 
-def save_schema(schema: FeatureSchema, path: str | Path) -> None:
+def write_rows(path: str | Path, rows) -> None:
+    """The one CSV writer: UTF-8, "\\n" line ends, rows written as they come."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "section"])
-        for name, section in schema.features:
-            writer.writerow([name, section])
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@contextmanager
+def read_rows(path: str | Path, error: type[Exception]):
+    """The one CSV reader: yields (line, row) pairs, line being the physical
+    line that ends the row. Text that is no UTF-8 or no CSV raises error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield ((reader.line_num, row) for row in reader)
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def save_schema(schema: FeatureSchema, path: str | Path) -> None:
+    write_rows(path, [("name", "section"), *schema.features])
 
 
 def load_schema(path: str | Path) -> FeatureSchema:
@@ -139,16 +156,15 @@ def load_schema(path: str | Path) -> FeatureSchema:
     Errors name the file, and the line for a row without exactly 2 fields.
     """
     features = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with read_rows(path, SchemaError) as rows:
+        _, header = next(rows, (0, None))
         if header is None or [h.strip() for h in header] != ["name", "section"]:
             raise SchemaError(f"{path}: expected header 'name,section'")
-        for row in reader:
+        for line, row in rows:
             if not row:
                 continue
             if len(row) != 2:
-                raise SchemaError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+                raise SchemaError(f"{path}:{line}: expected 2 fields, got {len(row)}")
             features.append((row[0], row[1]))
     sections = {section for _, section in features}
     for kind, labels in SECTION_LABELS.items():

@@ -3,14 +3,22 @@ import json
 import re
 import shlex
 import shutil
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finimg import cli
 from finimg.cli import build_parser, main
+from finimg.data import DatasetError
+from finimg.encoding import ARRANGEMENTS
 from finimg.nnet import save_arrays
-from finimg.schema import FUNDAMENTAL_SECTIONS
+from finimg.schema import FUNDAMENTAL_SECTIONS, SchemaError
 
 
 # compare runs its fits in process: these tests check what the CLI writes.
@@ -133,6 +141,91 @@ def test_a_data_csv_without_rows_fails_at_the_data_stage(tmp_path, synth_dir, ca
                    "--out", str(tmp_path / "out"))
     assert code == 2
     assert capsys.readouterr().err == f"error [data] {data}: no data rows after the header\n"
+
+
+@pytest.fixture(scope="module")
+def small_synth(tmp_path_factory):
+    """The data and schema CSV bytes of 12 rows of 12 features."""
+    out = tmp_path_factory.mktemp("small")
+    assert run_cli("synth", "--n-per-year", "12", "--years", "2016:2016",
+                   "--features-per-section", "2", "--seed", "1", "--out", str(out)) == 0
+    return (out / "data.csv").read_bytes(), (out / "schema.csv").read_bytes()
+
+
+# Cell texts that the CSV readers must take or reject by name: numbers out
+# of range, quotes, NUL, line breaks, a field over the csv module's limit.
+CELLS = st.sampled_from(["", "x", "nan", "inf", "1e400", "9" * 25, "-" + "9" * 25, "9" * 5000,
+                         '"', 'a"b', "\x00", "\n", "\r", "7" * 140_000, "AA+", "0", "5",
+                         "balance_sheet", "special_items"]) | st.text(max_size=6)
+RAW_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\x00", b'"', b",", b"\n", b"\r"])
+
+
+@st.composite
+def edited(draw, text: bytes) -> bytes:
+    """text after one to three edits: a cell replaced, a line dropped or
+    repeated, or raw bytes inserted anywhere (headers included)."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["cell", "drop", "repeat", "bytes"]))
+        if edit == "cell":
+            cells = lines[i].split(b",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CELLS).encode()
+            lines[i] = b",".join(cells)
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        text = b"\n".join(lines)
+        if edit == "bytes":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(RAW_BYTES) + text[at:]
+    return text
+
+
+class _RecordedStageError(cli.StageError):
+    """A StageError that keeps itself for the test once main has printed it."""
+
+    seen: list = []
+
+    def __init__(self, stage, cause):
+        super().__init__(stage, cause)
+        self.seen.append(self)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), method=st.sampled_from(ARRANGEMENTS))
+def test_encode_takes_edited_csv_inputs_or_names_the_file(tmp_path_factory, small_synth,
+                                                           data, method):
+    # Every edit either loads, or fails at the data stage with an error of
+    # finimg's own that names the file: not a traceback or a numpy,
+    # codec or csv message.
+    good_data, good_schema = small_synth
+    target = data.draw(st.sampled_from(["data", "schema"]))
+    texts = {"data": good_data, "schema": good_schema}
+    texts[target] = data.draw(edited(texts[target]))
+    work = tmp_path_factory.mktemp("edited")
+    paths = {name: work / f"{name}.csv" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_bytes(text)
+    _RecordedStageError.seen.clear()
+    with mock.patch.object(cli, "StageError", _RecordedStageError), \
+            redirect_stderr(StringIO()) as err:
+        code = main(["encode", "--data", str(paths["data"]), "--schema", str(paths["schema"]),
+                     "--method", method, "--out", str(work / "out")])
+    if code == 0:
+        assert not _RecordedStageError.seen and err.getvalue() == ""
+        return
+    assert code == 2
+    (error,) = _RecordedStageError.seen
+    cause = error.__cause__
+    assert error.stage == "data" and isinstance(cause, (DatasetError, SchemaError)), repr(cause)
+    assert str(cause).startswith((str(paths["data"]), str(paths["schema"]))), str(cause)
+    assert err.getvalue() == f"error [data] {cause}\n"
+    tb = cause.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert "finimg" in Path(tb.tb_frame.f_code.co_filename).parts
 
 
 def test_train_and_evaluate_roundtrip(tmp_path, synth_dir):
@@ -400,6 +493,15 @@ def test_config_file_parse_error_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"[config] {cfg_path}: Expecting property name" in err
     assert "line 3 column 1" in err
+
+
+def test_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b'{"methods": ["ml\xff"]}')
+    code = run_cli("compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == (f"error [config] {cfg_path}: 'utf-8' codec can't decode "
+                                       "byte 0xff in position 16: invalid start byte\n")
 
 
 def test_grid_search_command(tmp_path, synth_dir):

@@ -203,6 +203,9 @@ def test_load_csv_rejects_non_finite_values_with_location(tmp_path, cells, messa
     ("b,2015,7,BB", "column 3: quarter 7 outside 1..4"),
     ("b,2015,2,ZZ", "column 4: unknown rating 'ZZ'"),
     ("b,20x6,2,BB", "bad period field: .* '20x6'"),
+    ("b," + "9" * 25 + ",2,BB", "column 2: year 9{25} is outside the 64-bit integers"),
+    ("b,-" + "9" * 25 + ",2,BB", "column 2: year -9{25} is outside the 64-bit integers"),
+    ("b,2015," + "9" * 25 + ",BB", "column 3: quarter 9{25} outside 1..4"),
 ])
 def test_load_csv_rejects_bad_period_or_rating_with_location(tmp_path, meta, message):
     schema = tiny_schema()
@@ -212,6 +215,39 @@ def test_load_csv_rejects_bad_period_or_rating_with_location(tmp_path, meta, mes
                     encoding="utf-8")
     with pytest.raises(DatasetError, match=f"data.csv:3: {message}"):
         load_csv(path, schema)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("c,2015,2,ZZ,1,2,3,4,5,6", "column 4: unknown rating 'ZZ'"),
+    ("c,2015,7,BB,1,2,3,4,5,6", "column 3: quarter 7 outside 1..4"),
+    ("c,2015,2,BB,1,2,inf,4,5,6", "column 7: value inf is not finite"),
+    ("c,2015,2,BB,1,2,3,4,5", "expected 10 fields, got 9"),
+])
+def test_load_csv_names_the_physical_line_after_a_quoted_newline(tmp_path, row, message):
+    # The id of the first row holds a newline, so that row ends on line 3.
+    schema = tiny_schema()
+    header = "id,year,quarter,rating," + ",".join(schema.names)
+    path = tmp_path / "multiline.csv"
+    path.write_text(f'{header}\n"a\nb",2015,1,AA+,1,2,3,4,5,6\nb,2015,1,BB,1,2,3,4,5,6\n{row}\n',
+                    encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path, schema)
+    assert str(info.value) == f"{path}:5: {message}"
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"b,2015,2,BB,1,2,\xff,4,5,6", ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    (b"b,2015,2,BB,1,2," + b"7" * 140_000 + b",4,5,6",
+     ":3: field larger than field limit (131072)"),
+], ids=["not_utf8", "oversized_field"])
+def test_load_csv_names_the_file_of_text_that_is_no_utf8_or_no_csv(tmp_path, row, message):
+    schema = tiny_schema()
+    header = "id,year,quarter,rating," + ",".join(schema.names)
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"{header}\na,2015,1,AA+,1,2,3,4,5,6\n".encode() + row + b"\n")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path, schema)
+    assert str(info.value).startswith(f"{path}{message}")
 
 
 def test_load_csv_rejects_a_short_row_with_location(tmp_path):

@@ -630,6 +630,17 @@ def _stddev_zero(arrays):
     arrays["stddev"][3] = 0.0
 
 
+def _set_first(key, value):
+    def mutate(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = value
+    return mutate
+
+
+def _mean_text(arrays):
+    arrays["mean"] = arrays["mean"].astype(str)
+
+
 def _net_transposed(arrays):
     spec = json.loads(str(arrays["net_spec_json"]))
     c, h, w = spec["input_shape"]
@@ -671,6 +682,11 @@ _ae_two_layers.method = "autoencoder_sa"
     (_provenance_dropped, "provenance", "is not a one-to-one map of 66 inputs"),
     (_mean_short, "mean", "has shape (65,), not (66,)"),
     (_stddev_zero, "stddev", "holds an entry that is not positive"),
+    (_set_first("mean", np.nan), "mean", "holds an entry that is not a finite float"),
+    (_set_first("stddev", np.inf), "stddev", "holds an entry that is not a finite float"),
+    (_mean_text, "mean", "holds an entry that is not a finite float"),
+    (_set_first("net_param_0000", np.nan), "net_param_0000",
+     "holds an entry that is not a finite float"),
     (_net_transposed, "net_spec_json", "takes input (1, 12, 8), the encoding gives (1, 8, 12)"),
     (_net_five_classes, "net_spec_json", "outputs (5,), not the 12 rating classes"),
     (_ae_keep_short, "ae_spec_json",

@@ -176,11 +176,15 @@ def test_build_schema_allows_an_empty_section():
     ("name,section\n", "", "schema has no features"),
     ("name,label\na,balance_sheet\n", "", "expected header 'name,section'"),
     ("", "", "expected header 'name,section'"),
+    (b"name,section\n\xff,balance_sheet\n", "",
+     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+    ("name,section\n" + "a" * 140_000 + ",balance_sheet\n", ":2",
+     "field larger than field limit (131072)"),
 ], ids=["one_field", "three_fields", "duplicate", "split_section", "no_kind", "empty",
-        "bad_header", "no_header"])
+        "bad_header", "no_header", "not_utf8", "oversized_field"])
 def test_load_schema_errors_name_the_file(tmp_path, text, where, message):
     path = tmp_path / "schema.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(SchemaError) as info:
         load_schema(path)
     assert str(info.value) == f"{path}{where}: {message}"
