@@ -203,7 +203,9 @@ def render_pgm(cells: np.ndarray, path: str | Path) -> None:
     lo = float(cells.min())
     hi = float(cells.max())
     if hi > lo:
-        scaled = np.rint((cells - lo) / (hi - lo) * 255).astype(int)
+        # A span past the float range is scaled by halves, which are exact there.
+        h = 0.5 if math.isinf(hi - lo) else 1.0
+        scaled = np.rint((cells * h - lo * h) / (hi * h - lo * h) * 255).astype(int)
     else:
         scaled = np.zeros_like(cells, dtype=int)
     lines = ["P2", f"{cells.shape[1]} {cells.shape[0]}", "255"]

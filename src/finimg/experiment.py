@@ -312,7 +312,7 @@ class FittedPipeline:
         values = standardize(ds.values, self.standardizer)[:, self.keep]
         if self.autoencoder is not None:  # its encoder half maps values to codes
             for layer in self.autoencoder.layers[:ENCODER_LAYERS]:
-                values = layer.infer(values)
+                values = layer.forward(values, False)
         if self.provenance is None:
             return values.reshape(len(values), *self.input_shape)
         return grid_tensor(values, self.provenance)

@@ -22,20 +22,18 @@ row holds its window in (kh, kw, c) order, the channels-last order of its
 input, so the fill copies contiguous runs; the weights keep their stored
 (f, c, kh, kw) layout, and the GEMMs read them in the columns' order.
 
-Saved state: a forward drops the last batch's _saved, then saves what its
-backward reads: a conv its im2col columns, a max pool its masks, input size
-and axis order, ReLU and dropout their masks, the dense kinds their input
-(softmax output also its probabilities), Flatten its input shape. Backward
-takes it through _take, which clears it, so only the gradients _dw and _db
-outlive it. A forward with train=False saves too, since finite-difference
-checks run a backward after it. infer(x) is the inference forward: the
-output of forward(x, train=False), bit for bit, with nothing left in
-_saved, so a conv's columns die when its forward returns; a max pool's
-infer runs the max fold alone and makes no masks.
+Saved state: a forward drops the last batch's _saved, then, with train,
+saves what its backward reads: a conv its im2col columns, a max pool its
+masks, input size and axis order, ReLU and dropout their masks, the dense
+kinds their input (softmax output also its probabilities), Flatten its
+input shape. Backward takes it through _take, which clears it, so only the
+gradients _dw and _db outlive it. forward(x, train=False) is the inference
+pass: it saves nothing, so a conv's columns die when its forward returns,
+a max pool runs the max fold alone and makes no masks, and a backward
+after it raises.
 
 Layers do not check shapes: NetworkSpec.layer_shapes proves each layer's
-input before it is built, and Network.forward and Network.predict check
-each input's shape.
+input before it is built, and Network.forward checks each input's shape.
 
 Row lanes (see lanes.py): the work whose output rows each read only the
 same rows of its inputs runs through by_rows, one contiguous range of
@@ -80,12 +78,6 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """forward(x, train=False), keeping nothing for a backward."""
-        out = self.forward(x, train=False)
-        self._saved = None
-        return out
-
     def _take(self) -> tuple:
         saved, self._saved = self._saved, None
         if saved is None:
@@ -107,8 +99,8 @@ class _Weighted(Layer):
         self.weight = weight
         self.bias = bias
 
-    def _affine(self, x):
-        self._saved = (x,)
+    def _affine(self, x, train):
+        self._saved = (x,) if train else None
         return x @ self.weight + self.bias
 
     def _affine_backward(self, x, grad):
@@ -129,7 +121,7 @@ class Dense(_Weighted):
     name = "dense"
 
     def forward(self, x, train, rng=None):
-        return self._affine(x)
+        return self._affine(x, train)
 
     def backward(self, grad):
         return self._affine_backward(*self._take(), grad)
@@ -147,7 +139,7 @@ class ReLU(Layer):
             _select(mask[lo:hi], x[lo:hi], out[lo:hi])
 
         by_rows(fill, x)
-        self._saved = (mask,)
+        self._saved = (mask,) if train else None
         return out
 
     def backward(self, grad):
@@ -172,7 +164,7 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, train, rng=None):
-        self._saved = (None,)  # the identity, unless a mask replaces it
+        self._saved = (None,) if train else None  # the identity, unless a mask replaces it
         if not train or self.rate == 0.0:
             return x
         if rng is None:
@@ -189,7 +181,7 @@ class Flatten(Layer):
     name = "flatten"
 
     def forward(self, x, train, rng=None):
-        self._saved = (x.shape,)
+        self._saved = (x.shape,) if train else None
         return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # also for 0 rows
 
     def backward(self, grad):
@@ -218,7 +210,7 @@ class _Conv(_Weighted):
         by_rows(lambda lo, hi: np.copyto(cols[lo:hi], win[lo:hi]), win)
         return cols.reshape(-1, kh * kw * c)
 
-    def _correlate(self, x, weight):
+    def _correlate(self, x, weight, train):
         self._saved = None
         f, c, kh, kw = weight.shape
         n, _, h, w = x.shape
@@ -226,7 +218,7 @@ class _Conv(_Weighted):
         cols = self._im2col(x, kh, kw)
         out = cols @ weight.transpose(0, 2, 3, 1).reshape(f, -1).T
         by_rows(lambda lo, hi: np.add(out[lo:hi], self.bias, out=out[lo:hi]), out)
-        self._saved = (cols,)
+        self._saved = (cols,) if train else None
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     def _correlate_backward(self, grad, weight):
@@ -255,7 +247,7 @@ class Conv1D(_Conv):
     name = "conv1d"
 
     def forward(self, x, train, rng=None):
-        return self._correlate(x[:, :, None, :], self.weight[:, :, None, :])[:, :, 0, :]
+        return self._correlate(x[:, :, None, :], self.weight[:, :, None, :], train)[:, :, 0, :]
 
     def backward(self, grad):
         dx = self._correlate_backward(grad[:, :, None, :], self.weight[:, :, None, :])
@@ -266,7 +258,7 @@ class Conv2D(_Conv):
     name = "conv2d"  # weight (filters, channels, kh, kw)
 
     def forward(self, x, train, rng=None):
-        return self._correlate(x, self.weight)
+        return self._correlate(x, self.weight, train)
 
     def backward(self, grad):
         return self._correlate_backward(grad, self.weight)
@@ -285,24 +277,24 @@ class _MaxPool(Layer):
     first maximum; a window holding NaN pools to NaN and passes none. The
     backward pass writes np.where(mask, grad, 0) into the strided slice
     dx[:, :, i::wh, j::ww] of one dx; rows and columns past the last whole
-    window get zeros; dx is allocated in the input's memory order. infer
-    runs the same fold and makes no masks, so its output has the forward's
-    bits. MaxPool1D is the (1, window) case on (N, C, 1, L) views.
+    window get zeros; dx is allocated in the input's memory order. An
+    inference forward runs the same fold and makes no masks. MaxPool1D is
+    the (1, window) case on (N, C, 1, L) views.
     """
 
     def __init__(self, window: int):
         self.window = window
 
-    def _pool(self, x, wh, ww, keep):
-        """The pooled x; with keep, also saves the masks for the backward."""
+    def _pool(self, x, wh, ww, train):
+        """The pooled x; with train, also saves the masks for the backward."""
         self._saved = None
         n, c, h, w = x.shape
         oh, ow = h // wh, w // ww
         xr = x[:, :, : oh * wh, : ow * ww].reshape(n, c, oh, wh, ow, ww)
         cells = [xr[:, :, :, i, :, j] for i, j in np.ndindex(wh, ww)]
         out = np.empty_like(cells[0])  # in the input's memory order
-        masks = [np.empty_like(out, dtype=bool) for _ in cells] if keep else []
-        free = np.empty_like(out, dtype=bool) if keep else None
+        masks = [np.empty_like(out, dtype=bool) for _ in cells] if train else []
+        free = np.empty_like(out, dtype=bool) if train else None
 
         def fill(lo, hi):
             o = out[lo:hi]
@@ -321,7 +313,7 @@ class _MaxPool(Layer):
                     f ^= m  # m lies inside f: this clears m's cells from f
 
         by_rows(fill, x)
-        if keep:
+        if train:
             in_axes = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outermost first
             self._saved = (masks, (h, w), in_axes)
         return out
@@ -345,10 +337,7 @@ class MaxPool1D(_MaxPool):
     name = "maxpool1d"
 
     def forward(self, x, train, rng=None):
-        return self._pool(x[:, :, None, :], 1, self.window, keep=True)[:, :, 0, :]
-
-    def infer(self, x):
-        return self._pool(x[:, :, None, :], 1, self.window, keep=False)[:, :, 0, :]
+        return self._pool(x[:, :, None, :], 1, self.window, train)[:, :, 0, :]
 
     def backward(self, grad):
         return self._pool_backward(grad[:, :, None, :], 1, self.window)[:, :, 0, :]
@@ -358,10 +347,7 @@ class MaxPool2D(_MaxPool):
     name = "maxpool2d"
 
     def forward(self, x, train, rng=None):
-        return self._pool(x, self.window, self.window, keep=True)
-
-    def infer(self, x):
-        return self._pool(x, self.window, self.window, keep=False)
+        return self._pool(x, self.window, self.window, train)
 
     def backward(self, grad):
         return self._pool_backward(grad, self.window, self.window)
@@ -379,8 +365,8 @@ class SoftmaxOutput(_Weighted):
     name = "softmax_output"
 
     def forward(self, x, train, rng=None):
-        probs = softmax(self._affine(x))
-        self._saved = (x, probs)
+        probs = softmax(self._affine(x, train))
+        self._saved = (x, probs) if train else None
         return probs
 
     def backward_from_labels(self, labels: np.ndarray) -> np.ndarray:

@@ -95,6 +95,9 @@ class NetworkSpec:
     def __post_init__(self):
         if self.loss not in ("cross_entropy", "mse"):
             raise SpecError(f"unknown loss {self.loss!r}")
+        if not all(map(_is_size, self.input_shape)):
+            raise SpecError(f"input shape {self.input_shape} holds a size that is not "
+                            "a positive integer")
         self.layer_shapes()
         last = self.layers[-1].kind if self.layers else None
         if self.loss == "cross_entropy" and last != "softmax_output":
@@ -144,8 +147,21 @@ _PARAM_LAYERS = {"dense": Dense, "softmax_output": SoftmaxOutput, "conv1d": Conv
                  "conv2d": Conv2D}
 
 
+# The layer arguments that count units, filters or cells.
+_SIZES = ("units", "classes", "filters", "kernel", "kernel_h", "kernel_w", "window")
+
+
+def _is_size(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _propagate(shape: tuple[int, ...], layer: LayerSpec, index: int) -> tuple[int, ...]:
     kind, args = layer.kind, layer.args
+    for name in _SIZES:
+        value = args.get(name, 1)
+        if not _is_size(value):
+            raise SpecError(f"layer {index} ({kind}): {name} must be a positive integer, "
+                            f"got {value!r}")
     if kind in ("conv1d", "conv2d") and args.get("padding") != "valid":
         raise SpecError(f"layer {index} ({kind}): unsupported padding {args.get('padding')!r}")
     if kind == "activation" and args["kind"] != "relu":
@@ -223,30 +239,22 @@ class Network:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        self._check_input(x)
-        for layer in self.layers:
-            x = layer.forward(x, train, rng)
-        return x
-
-    def _check_input(self, x: np.ndarray) -> None:
+        """The one walk over the layers; with train=False, the inference
+        pass, which leaves no layer state for a backward."""
         if x.shape[1:] != self.spec.input_shape:
             raise ShapeMismatchError(
                 f"network expects input {self.spec.input_shape}, got {x.shape[1:]}"
             )
+        for layer in self.layers:
+            x = layer.forward(x, train, rng)
+        return x
 
     @one_blas_thread()
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward pass (class probabilities for classifiers),
-        PREDICT_ROWS rows at a time through each layer's infer, so memory
-        does not grow with len(x) and no layer keeps state for a backward."""
-        self._check_input(x)
-        out = []
-        for i in range(0, max(len(x), 1), PREDICT_ROWS):
-            chunk = x[i : i + PREDICT_ROWS]
-            for layer in self.layers:
-                chunk = layer.infer(chunk)
-            out.append(chunk)
-        return np.concatenate(out)
+        PREDICT_ROWS rows at a time, so memory does not grow with len(x)."""
+        return np.concatenate([self.forward(x[i : i + PREDICT_ROWS])
+                               for i in range(0, max(len(x), 1), PREDICT_ROWS)])
 
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x).argmax(axis=1)
@@ -312,6 +320,8 @@ def network_from_arrays(data, prefix: str = "") -> Network:
     seed = data[f"{prefix}seed"]
     if seed.shape or seed.dtype.kind not in "iu":
         raise SpecError(f"key '{prefix}seed' must hold one integer, got {seed.dtype} {seed}")
+    if seed < 0:
+        raise SpecError(f"key '{prefix}seed' holds {seed}, not a non-negative seed")
     net = Network(spec, seed=int(seed))
     for i, p in enumerate(net.parameters()):
         name = f"{prefix}param_{i:04d}"

@@ -50,15 +50,18 @@ def gradient_check(spec: NetworkSpec, inputs: np.ndarray, targets: np.ndarray,
                    seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Dropout is forced off (inference mode) so the loss is deterministic.
-    Large parameter tensors are spot-checked at seeded coordinates.
+    Every pass runs in training mode with a fresh generator of one seed, so
+    each draws the same dropout masks: the loss is deterministic, and
+    dropout's backward is checked too. Large parameter tensors are
+    spot-checked at seeded coordinates.
     """
     net = Network(spec, seed=seed)
-    net.loss_and_grad(inputs, targets, train=False)
+    net.loss_and_grad(inputs, targets, train=True, rng=np.random.default_rng(seed))
     analytic = [g.copy() for g in net.gradients()]
 
     def loss() -> float:
-        return net._loss(net.forward(inputs, train=False), targets)
+        out = net.forward(inputs, train=True, rng=np.random.default_rng(seed))
+        return net._loss(out, targets)
 
     rng = np.random.default_rng(seed + 12345)
     worst = 0.0

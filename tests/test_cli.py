@@ -654,13 +654,28 @@ def _edit_spec(edit):
         6, {"kind": "dropout", "args": {"rate": 1.5}})),
      "checkpoint key 'net_spec_json': layer 6: dropout rate 1.5 outside [0, 1)"),
     ("net_seed", 0.5, "checkpoint key 'net_seed' must hold one integer, got float64 0.5"),
+    ("net_seed", -1, "checkpoint key 'net_seed' holds -1, not a non-negative seed"),
+    ("net_spec_json", _edit_spec(lambda spec: spec["layers"][6]["args"].update(units=-5)),
+     "checkpoint key 'net_spec_json': layer 6 (dense): units must be a positive integer, "
+     "got -5"),
+    ("net_spec_json", _edit_spec(lambda spec: spec["layers"][6]["args"].update(units=2.5)),
+     "checkpoint key 'net_spec_json': layer 6 (dense): units must be a positive integer, "
+     "got 2.5"),
+    ("net_spec_json", _edit_spec(lambda spec: spec["layers"][1]["args"].update(window=0)),
+     "checkpoint key 'net_spec_json': layer 1 (maxpool): window must be a positive integer, "
+     "got 0"),
+    ("net_spec_json", _edit_spec(lambda spec: spec["layers"][0]["args"].update(filters="64")),
+     "checkpoint key 'net_spec_json': layer 0 (conv2d): filters must be a positive integer, "
+     "got '64'"),
 ], ids=["meta_not_an_object", "meta_without_method", "features_not_a_list", "unknown_method",
         "spec_not_json", "spec_without_loss", "unknown_layer_kind", "unknown_loss",
-        "unknown_activation", "dropout_rate_outside_0_1", "seed_not_an_integer"])
+        "unknown_activation", "dropout_rate_outside_0_1", "seed_not_an_integer",
+        "negative_seed", "negative_units", "fractional_units", "zero_window", "text_filters"])
 def test_evaluate_names_the_checkpoint_key_it_cannot_use(tmp_path, synth_dir, capsys,
                                                          checkpoint_arrays, key, value, message):
     # Each used to fail with a bare TypeError, KeyError, JSONDecodeError or
-    # SpecError naming no file, or (an unknown method, a fractional seed) to load.
+    # SpecError naming no file, or (an unknown method, a fractional seed) to
+    # load; a negative seed or size failed inside numpy, naming neither.
     arrays = dict(checkpoint_arrays)
     arrays[key] = np.array(value(str(arrays[key])) if callable(value) else value)
     path = tmp_path / "model.npz"
@@ -693,6 +708,136 @@ def test_evaluate_names_a_checkpoint_that_is_not_an_npz(tmp_path, synth_dir, cap
     path.write_text("not a checkpoint\n", encoding="utf-8")
     assert evaluate_error(path, synth_dir, capsys).startswith(
         f"error [evaluate] {path}: not an npz checkpoint: ")
+
+
+@pytest.fixture(scope="module")
+def checkpoints(synth_dir, tmp_path_factory, checkpoint_arrays):
+    """The arrays of a cca and an autoencoder_sa checkpoint, by method."""
+    out = tmp_path_factory.mktemp("ae_model")
+    assert run_cli("train", "--data", str(synth_dir / "data.csv"),
+                   "--schema", str(synth_dir / "schema.csv"), "--method", "autoencoder_sa",
+                   "--epochs", "1", "--out", str(out)) == 0
+    with np.load(out / "model.npz", allow_pickle=False) as data:
+        ae_arrays = {k: data[k] for k in data.files}
+    return {"cca": Arrays("cca", checkpoint_arrays),
+            "autoencoder_sa": Arrays("autoencoder_sa", ae_arrays)}
+
+
+class Arrays(dict):
+    """A checkpoint's arrays, named in hypothesis reports by their method."""
+
+    def __init__(self, method, arrays):
+        super().__init__(arrays)
+        self.method = method
+
+    def __repr__(self):
+        return f"<{self.method} checkpoint arrays: {sorted(self)}>"
+
+
+# Values that a JSON edit puts in place of a spec or meta entry.
+JSON_VALUES = st.sampled_from([None, True, False, 0, 1, -1, -5, 2, 3, 12, 128, 2.5, 1e308,
+                               float("nan"), float("inf"), "", "64", "relu", "valid", "cca",
+                               "dense", [], {}, [1], [1, 8, 12], ["a"]])
+
+
+@st.composite
+def edited_json(draw, text: str) -> str:
+    """The JSON text with one entry replaced or deleted, at any depth."""
+    try:
+        raw = json.loads(text)
+    except ValueError:  # an earlier edit left no JSON
+        return text
+    slots, stack = [], [raw]
+    while stack:
+        node = stack.pop()
+        keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            slots.append((node, key))
+            stack.append(node[key])
+    if not slots:  # a scalar
+        return text
+    node, key = draw(st.sampled_from(slots))
+    if draw(st.booleans()):
+        node[key] = draw(JSON_VALUES)
+    else:
+        del node[key]
+    return json.dumps(raw)
+
+
+@st.composite
+def edited_array(draw, a: np.ndarray) -> np.ndarray:
+    """a in another dtype or shape, with NaN or a negative entry, or a scalar."""
+    edit = draw(st.sampled_from(["dtype", "shape", "nan", "negative", "scalar"]))
+    flat = a.reshape(-1)
+    if edit == "dtype":
+        dtype = draw(st.sampled_from(["int64", "uint8", "bool", "float32", "float64", "<U2"]))
+        try:
+            return a.astype(dtype)
+        except ValueError:  # text that is no number
+            return np.zeros(a.shape, dtype)
+    if edit == "shape":
+        return draw(st.sampled_from([flat[:-1], flat[None], np.concatenate([flat, flat]),
+                                     flat.reshape(-1, 1), flat[:0]]))
+    if edit == "scalar" or a.dtype.kind not in "iufb" or not a.size:
+        return np.array(draw(st.sampled_from([-1, 0, 2.5, "x"])))
+    out = a.astype(float if edit == "nan" or a.dtype.kind == "f" else np.int64)
+    out.reshape(-1)[draw(st.integers(0, a.size - 1))] = (
+        np.nan if edit == "nan" else -draw(st.integers(1, 3)))
+    return out
+
+
+@st.composite
+def edited_checkpoint(draw, arrays: dict) -> dict:
+    """arrays after one or two edits: a key dropped or renamed (over another
+    key too), an array edited, or a JSON value edited."""
+    arrays = Arrays(arrays.method, arrays)
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(["drop", "rename", "array", "json"]))
+        names = [k for k in arrays if k.endswith("_json")] if edit == "json" else []
+        key = draw(st.sampled_from(sorted(names or arrays)))
+        if edit == "drop":
+            del arrays[key]
+        elif edit == "rename":
+            name = draw(st.sampled_from(sorted(arrays)) | st.just(key + "_"))
+            arrays[name] = arrays.pop(key)
+        elif edit == "json" and arrays[key].dtype.kind == "U":
+            arrays[key] = np.array(draw(edited_json(str(arrays[key]))))
+        else:
+            arrays[key] = draw(edited_array(arrays[key]))
+    return arrays
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN scores on purpose
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), method=st.sampled_from(["cca", "autoencoder_sa"]))
+def test_evaluate_takes_edited_checkpoints_or_names_the_file(tmp_path_factory, synth_dir,
+                                                            checkpoints, data, method):
+    # Every edit either scores, or fails at the evaluate stage with an error
+    # of finimg's own, raised in finimg, that names the checkpoint. It found
+    # negative or fractional sizes, a None in an input shape and a negative
+    # seed, which failed inside numpy.
+    path = tmp_path_factory.mktemp("edited") / "model.npz"
+    save_arrays(path, data.draw(edited_checkpoint(checkpoints[method])))
+    _RecordedStageError.seen.clear()
+    with mock.patch.object(cli, "StageError", _RecordedStageError), \
+            redirect_stderr(StringIO()) as err:
+        code = main(["evaluate", "--model", str(path), "--data", str(synth_dir / "data.csv"),
+                     "--schema", str(synth_dir / "schema.csv")])
+    if code == 0:
+        assert not _RecordedStageError.seen and err.getvalue() == ""
+        return
+    assert code == 2
+    (error,) = _RecordedStageError.seen
+    cause = error.__cause__
+    assert error.stage == "evaluate" and type(cause).__module__.startswith("finimg."), repr(cause)
+    # A feature record that disagrees with the dataset's schema is named by
+    # feature, as test_evaluate_rejects_a_dataset_of_another_width pins it.
+    mismatch = re.match(r"the pipeline was fitted on \d+ features|feature \d+ is ", str(cause))
+    assert mismatch or str(cause).startswith(str(path)), str(cause)
+    tb = cause.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert "finimg" in Path(tb.tb_frame.f_code.co_filename).parts
 
 
 @pytest.mark.parametrize("train", ["5", "null", "[1]"])

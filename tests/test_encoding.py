@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,20 @@ def test_render_pgm(tmp_path):
     assert lines[2] == "255"
     pixels = [int(x) for row in lines[3:] for x in row.split()]
     assert min(pixels) == 0 and max(pixels) == 255
+
+
+@pytest.mark.parametrize("values, grey", [
+    ([1e308, -1e308, 0.0, 5e307], [255, 0, 128, 191]),  # the span overflows a float
+    ([0.0, 5e-324, 0.0, 0.0], [0, 255, 0, 0]),  # a subnormal span
+], ids=["huge", "subnormal"])
+def test_render_pgm_scales_any_finite_span_to_0_255(tmp_path, values, grey):
+    # (cells - lo) / (hi - lo) overflowed on the huge span: numpy warned and
+    # wrote the pixel -9223372036854775808.
+    path = tmp_path / "span.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_pgm(image(np.array(values), sequential_arrange(4, 2, 2)), path)
+    assert [int(x) for row in path.read_text().splitlines()[3:] for x in row.split()] == grey
 
 
 def test_render_pgm_constant_grid(tmp_path):

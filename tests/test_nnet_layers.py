@@ -232,13 +232,13 @@ def test_conv_matches_loop_reference(data, one_d):
     out_ref, dx_ref, dw_ref, db_ref = reference_conv(x, weight, bias, g)
     if one_d:
         layer = Conv1D(weight[:, :, 0, :].copy(), bias)
-        out = layer.forward(x[:, :, 0, :], train=False)[:, :, None, :]
+        out = layer.forward(x[:, :, 0, :], train=True)[:, :, None, :]
         dx = layer.backward(g[:, :, 0, :])[:, :, None, :]
         dw = layer._dw[:, :, None, :]
         assert layer._dw.shape == (f, c, kw)
     else:
         layer = Conv2D(weight, bias)
-        out = layer.forward(x, train=False)
+        out = layer.forward(x, train=True)
         dx = layer.backward(g)
         dw = layer._dw
     for got, want in ((out, out_ref), (dx, dx_ref), (dw, dw_ref), (layer._db, db_ref)):
@@ -317,11 +317,11 @@ def test_maxpool_matches_loop_reference_with_ties(data, one_d, layout):
     x, g = with_layout(x, layout), with_layout(g, layout)
     if one_d:
         layer = MaxPool1D(window)
-        out = layer.forward(x[:, :, 0, :], train=False)[:, :, None, :]
+        out = layer.forward(x[:, :, 0, :], train=True)[:, :, None, :]
         dx = layer.backward(g[:, :, 0, :])[:, :, None, :]
     else:
         layer = MaxPool2D(window)
-        out = layer.forward(x, train=False)
+        out = layer.forward(x, train=True)
         dx = layer.backward(g)
     assert np.array_equal(out, out_ref)
     assert np.array_equal(dx, dx_ref)
@@ -411,7 +411,7 @@ def test_relu_pool_swap_is_exact(data, one_d):
     outs, grads = [], []
     for net in nets:
         outs.append(net.forward(x))
-        net.loss_and_grad(x, y, train=False)
+        net.loss_and_grad(x, y)  # no dropout: training mode needs no rng
         grads.append(net.gradients())
     assert np.array_equal(*outs)
     for got, want in zip(*grads, strict=True):
@@ -465,7 +465,7 @@ def test_layers_give_the_same_bits_in_either_memory_order(data, one_d, pool, x_l
 
     def run(x, g):
         layer = make()
-        out = layer.forward(x, train=False).copy()
+        out = layer.forward(x, train=True).copy()
         return [out, layer.backward(g), *layer.grads()]
 
     want = run(x, g)
@@ -485,11 +485,11 @@ def test_pool_after_conv_returns_dx_in_the_conv_output_order(one_d):
                                          np.zeros(4))
     pool = (MaxPool1D if one_d else MaxPool2D)(2)
     fmap = conv.forward(x, train=False)
-    pooled = pool.forward(fmap, train=False)
+    pooled = pool.forward(fmap, train=True)
     dx = pool.backward(rng.normal(size=pooled.shape))
     assert is_channels_last(fmap) and not fmap.flags.c_contiguous
     assert is_channels_last(dx) and dx.shape == fmap.shape
-    pool.forward(fmap, train=False)  # a backward consumes its forward's state
+    pool.forward(fmap, train=True)  # a backward consumes its forward's state
     assert pool.backward(np.ascontiguousarray(rng.normal(size=pooled.shape))).strides == dx.strides
 
 

@@ -1,10 +1,11 @@
 """A layer's saved state lives from its forward to its backward.
 
-A backward consumes what its forward saved, and inference keeps nothing:
-each layer's infer gives the bits of its forward(train=False) and leaves
-no state, and predict gives the bits of 64-row forward passes. One
-training step through the 32x32 network and one 1000-row prediction
-through the 18x27 network stay within fixed memory budgets.
+A backward consumes what its training forward saved, and inference keeps
+nothing: each layer's forward(train=False) gives the bits of its training
+forward (dropout aside) and leaves no state, and predict gives the bits of
+64-row inference forward passes. One training step through the 32x32
+network and one 1000-row prediction through the 18x27 network stay within
+fixed memory budgets.
 """
 import tracemalloc
 
@@ -78,11 +79,10 @@ def test_a_second_backward_or_one_after_predict_names_the_layer(kind):
                 backward_again(layer, shape)
 
 
-def test_a_forward_in_inference_mode_still_saves_for_backward():
-    # Finite-difference checks run backward after a train=False forward.
+def test_a_backward_after_an_inference_forward_names_the_layer():
     layer = Dense(np.ones((3, 2)), np.zeros(2))
-    layer.forward(np.ones((4, 3)), train=False)
-    assert layer.backward(np.ones((4, 2))).shape == (4, 3)
+    layer.forward(np.ones((4, 3)), train=True)
+    layer.forward(np.ones((4, 3)), train=False)  # drops the training forward's state
     with pytest.raises(ValueError, match="^dense: backward without a forward$"):
         layer.backward(np.ones((4, 2)))
 
@@ -116,8 +116,8 @@ def test_one_step_through_the_32x32_network_stays_within_its_memory_budget():
 
 
 def test_predicting_1000_rows_through_the_18x27_network_stays_within_its_memory_budget():
-    # No layer keeps a chunk's masks or columns for a backward: a max pool's
-    # infer makes no masks, and a conv's columns die with its forward.
+    # No layer keeps a chunk's masks or columns for a backward: an inference
+    # max pool makes no masks, and a conv's columns die with its forward.
     net = Network(build_cnn2d(18, 27), seed=0)
     x = np.random.default_rng(0).normal(size=(1000, 1, 18, 27))
     tracemalloc.start()
@@ -171,14 +171,18 @@ def layer_and_input(data, rng, kind):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and infinities on purpose
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(KINDS))
-def test_infer_gives_the_bits_of_an_inference_forward_and_keeps_nothing(data, kind):
+def test_an_inference_forward_gives_the_training_bits_and_keeps_nothing(data, kind):
+    # A max pool's inference forward folds without masks; inference dropout
+    # is the identity.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     layer, x = layer_and_input(data, rng, kind)
-    want = layer.forward(x, train=False)
-    assert layer._saved is not None  # a backward could follow this forward
-    got = layer.infer(x)
+    want = x if kind == "dropout" else layer.forward(x, train=True)
+    assert kind == "dropout" or layer._saved is not None  # a backward could follow it
+    got = layer.forward(x, train=False)
     assert layer._saved is None
     assert same_bits(got, want)
+    with pytest.raises(ValueError, match=f"^{layer.name}: backward without a forward$"):
+        backward_again(layer, got.shape)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

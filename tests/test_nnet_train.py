@@ -206,21 +206,20 @@ def test_predict_probabilities_sum_to_one():
 def test_predict_in_chunks_matches_one_forward_pass(spec):
     net = Network(spec, seed=0)
     rng = np.random.default_rng(1)
-    first, sizes = net.layers[0], []
-    infer = first.infer
+    forward, sizes = net.forward, []
 
-    def counted(x):
+    def counted(x, train=False, rng=None):
         sizes.append(len(x))
-        return infer(x)
+        return forward(x, train, rng)
 
-    first.infer = counted  # predict runs each chunk through every layer's infer
+    net.forward = counted  # predict runs each chunk through Network.forward
     for rows in (0, 1, 63, 64, 65, 1000):
         x = rng.normal(size=(rows, *spec.input_shape))
         sizes.clear()
         probs = net.predict(x)
         assert sizes == [PREDICT_ROWS] * (rows // PREDICT_ROWS) + (
             [rows % PREDICT_ROWS] if rows % PREDICT_ROWS or not rows else [])
-        whole = net.forward(x, train=False)
+        whole = forward(x, train=False)
         assert probs.shape == whole.shape == (rows, 12)
         assert np.array_equal(probs.argmax(axis=1), whole.argmax(axis=1))
         np.testing.assert_allclose(probs, whole, rtol=0, atol=1e-12)
