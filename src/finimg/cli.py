@@ -31,6 +31,7 @@ from .experiment import (
     ALL_METHODS,
     ExperimentConfig,
     RunRecord,
+    SchemaMismatchError,
     classifier_spec,
     emit_report,
     evaluate_pipeline,
@@ -183,7 +184,10 @@ def _cmd_evaluate(args) -> int:
         ds = load_dataset(args.data, args.schema)
     with _stage("evaluate"):
         pipe = load_pipeline(args.model)
-        record = evaluate_pipeline(pipe, ds, args.test_year)
+        try:
+            record = evaluate_pipeline(pipe, ds, args.test_year)
+        except SchemaMismatchError as exc:
+            raise SchemaMismatchError(f"{args.model}: {exc}") from None
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)

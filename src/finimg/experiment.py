@@ -112,7 +112,11 @@ class ExperimentError(ValueError):
 
 
 class CheckpointError(ExperimentError, SpecError):
-    """A checkpoint network that cannot be rebuilt; the message names the file and the key."""
+    """Every failure to load a checkpoint; the message names the file, and the key at fault."""
+
+
+class SchemaMismatchError(ExperimentError):
+    """A dataset whose schema is not the one a pipeline was fitted on."""
 
 
 def _fits(value, tp) -> bool:
@@ -191,13 +195,13 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ExperimentError(f"methods lists {', '.join(map(repr, repeated))} more than once")
+        for name in ("randomization_runs", "training_seeds", "arrangement_seed"):
+            if getattr(self, name) < 0:
+                raise ExperimentError(f"{name} must not be negative, got {getattr(self, name)}")
         if any(m in RANDOMIZED for m in self.methods) and self.randomization_runs < 2:
             raise ExperimentError("randomized methods need randomization_runs >= 2")
         if any(m not in RANDOMIZED for m in self.methods) and self.training_seeds < 1:
             raise ExperimentError("deterministic methods need training_seeds >= 1")
-        if self.arrangement_seed < 0:
-            raise ExperimentError(
-                f"arrangement_seed must not be negative, got {self.arrangement_seed}")
         if self.data is None and self.synthetic is None:
             raise ExperimentError("provide a data path or a synthetic spec")
 
@@ -320,11 +324,12 @@ class FittedPipeline:
 
 def _layout(config: ExperimentConfig, method: str, ds: Dataset, arrangement_seed: int,
             ) -> tuple[FittedPipeline, NetworkSpec | None]:
-    """The part of a method that reads no fitted values.
+    """The part of a method that reads no data: it reads the schema alone.
 
     Returns the pipeline with its feature record, kept features and index
     map but nothing fitted, and the auto-encoder architecture
-    (autoencoder_sa only).
+    (autoencoder_sa only). reduced_hva's kept features are fitted:
+    prepare_pipeline picks them from the training rows.
     """
     if method not in ALL_METHODS:
         raise ExperimentError(f"unknown method {method!r}")
@@ -332,8 +337,7 @@ def _layout(config: ExperimentConfig, method: str, ds: Dataset, arrangement_seed
     pipe = FittedPipeline(method=method, features=ds.schema.names, keep=np.arange(d))
     autoencoder = None
     if method == "reduced_hva":
-        pipe.keep = reduce_features(ds, largest_square_target(d))
-        pipe.provenance = hilbert_arrange(len(pipe.keep))
+        pipe.provenance = hilbert_arrange(largest_square_target(d))
     elif method == "autoencoder_sa":
         code_dim = autoencoder_code_dim(config, d)
         autoencoder = build_autoencoder(d, code_dim)
@@ -350,12 +354,15 @@ def prepare_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
 
     Returns the pipeline without its classifier network, the encoded
     training inputs, and the raw training and test splits (full schema).
-    The auto-encoder of autoencoder_sa is trained here, on training rows only.
+    reduced_hva's kept features and the auto-encoder of autoencoder_sa are
+    fitted here, on training rows only.
     """
     pipe, autoencoder = _layout(config, method, ds, arrangement_seed)
     train_raw, test_raw = out_of_time_split(ds, config.test_year)
     if len(train_raw) == 0:
         raise ExperimentError(f"no training data before {config.test_year}")
+    if method == "reduced_hva":
+        pipe.keep = reduce_features(train_raw, pipe.provenance.size)
     pipe.standardizer = fit_standardizer(train_raw)
     if autoencoder is not None:
         train_values = apply_standardizer(train_raw, pipe.standardizer).values
@@ -403,10 +410,22 @@ def fit_pipeline(config: ExperimentConfig, method: str, ds: Dataset,
     return pipe, record, arrangement_seed
 
 
+@dataclass(frozen=True)
+class _Meta:
+    """A checkpoint's meta_json; one without features predates feature records."""
+
+    method: str
+    features: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.method not in ALL_METHODS:
+            raise ExperimentError(f"unknown method {self.method!r}")
+
+
 def save_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
     """Checkpoint the whole pipeline (standardizer, arrangement, networks)."""
     payload = {
-        "meta_json": np.array(json.dumps({"method": pipe.method, "features": pipe.features},
+        "meta_json": np.array(json.dumps(asdict(_Meta(pipe.method, pipe.features)),
                                          sort_keys=True)),
         "keep": pipe.keep,
         "mean": pipe.standardizer.mean,
@@ -420,62 +439,43 @@ def save_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
     save_arrays(path, payload)
 
 
-@dataclass(frozen=True)
-class _Meta:
-    """A checkpoint's meta_json; one without features predates feature records."""
-
-    method: str
-    features: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.method not in ALL_METHODS:
-            raise ExperimentError(f"unknown method {self.method!r}")
-
-
 class _Checkpoint(dict):
-    """A checkpoint's arrays by key; reading a missing key names the file and the key."""
-
-    def __init__(self, path: str | Path):
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                super().__init__(archive)
-        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-            raise ExperimentError(f"{path}: not an npz checkpoint: {exc}") from None
-        self.path = path
+    """A checkpoint's arrays by key; reading a missing key names the key."""
 
     def __missing__(self, key: str):
-        raise ExperimentError(f"{self.path}: checkpoint has no key {key!r}")
+        raise ExperimentError(f"has no key {key!r}")
 
 
 def load_pipeline(path: str | Path) -> FittedPipeline:
-    """The pipeline a checkpoint holds; its record of feature names marks the format."""
-    data = _Checkpoint(path)
-    text = str(data["meta_json"])
+    """The pipeline a checkpoint holds; every failure raises CheckpointError naming the file."""
     try:
-        meta = _from_json(_Meta, json.loads(text), "meta_json.")
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"{path}: checkpoint key 'meta_json' is not JSON: {exc}") from None
-    except ExperimentError as exc:
-        raise ExperimentError(f"{path}: checkpoint {exc}") from None
-    if meta.features is None:
-        raise ExperimentError(f"{path}: checkpoint records no feature names; retrain it")
+        with np.load(path, allow_pickle=False) as archive:
+            data = _Checkpoint(archive)
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: not an npz checkpoint: {exc}") from None
     try:
+        try:
+            meta = _from_json(_Meta, json.loads(str(data["meta_json"])), "meta_json.")
+        except json.JSONDecodeError as exc:
+            raise ExperimentError(f"key 'meta_json' is not JSON: {exc}") from None
+        if meta.features is None:
+            raise ExperimentError("records no feature names; retrain it")
         network = network_from_arrays(data, "net_")
         autoencoder = network_from_arrays(data, "ae_") if meta.method == "autoencoder_sa" else None
-    except SpecError as exc:
+        provenance = None if meta.method in ("mlp", "cnn1d") else data["provenance"]
+        pipe = FittedPipeline(meta.method, meta.features, data["keep"],
+                              StandardizationParams(data["mean"], data["stddev"]), network,
+                              provenance, autoencoder)
+        _check_pipeline(pipe)
+    except (ExperimentError, SpecError) as exc:
         raise CheckpointError(f"{path}: checkpoint {exc}") from None
-    provenance = None if meta.method in ("mlp", "cnn1d") else data["provenance"]
-    pipe = FittedPipeline(meta.method, meta.features, data["keep"],
-                          StandardizationParams(data["mean"], data["stddev"]), network,
-                          provenance, autoencoder)
-    _check_pipeline(pipe, path)
     return pipe
 
 
-def _check_pipeline(pipe: FittedPipeline, path: str | Path) -> None:
-    """Check a loaded pipeline's arrays against its features; name the file and the key."""
+def _check_pipeline(pipe: FittedPipeline) -> None:
+    """Check a loaded pipeline's arrays against its features; name the key."""
     def fail(key: str, detail: str):
-        raise ExperimentError(f"{path}: checkpoint key {key!r} {detail}")
+        raise ExperimentError(f"key {key!r} {detail}")
 
     d, keep = len(pipe.features), pipe.keep
     if keep.ndim != 1 or keep.dtype.kind not in "iu":
@@ -517,12 +517,12 @@ def evaluate_pipeline(pipe: FittedPipeline, ds: Dataset,
     """Metrics of a saved pipeline on a dataset of its schema (optionally one year)."""
     names = ds.schema.names
     if len(names) != len(pipe.features):
-        raise ExperimentError(f"the pipeline was fitted on {len(pipe.features)} features, "
-                              f"the dataset has {len(names)}")
+        raise SchemaMismatchError(f"the pipeline was fitted on {len(pipe.features)} features, "
+                                  f"the dataset has {len(names)}")
     for i, (given, fitted) in enumerate(zip(names, pipe.features)):
         if given != fitted:
-            raise ExperimentError(f"feature {i} is {given!r} in the dataset, "
-                                  f"{fitted!r} in the fitted pipeline")
+            raise SchemaMismatchError(f"feature {i} is {given!r} in the dataset, "
+                                      f"{fitted!r} in the fitted pipeline")
     if test_year is not None:
         mask = ds.years == test_year
         if not mask.any():

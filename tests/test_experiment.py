@@ -18,6 +18,7 @@ from finimg.data import Dataset
 from finimg.encoding import ZERO_PAD
 from finimg.experiment import (
     ALL_METHODS,
+    CheckpointError,
     ExperimentConfig,
     ExperimentError,
     ExperimentReport,
@@ -36,7 +37,7 @@ from finimg.experiment import (
     run_pooled,
     save_pipeline,
 )
-from finimg.nnet import (DivergenceError, InputTooSmallError, Network, NetworkSpec, SpecError,
+from finimg.nnet import (DivergenceError, InputTooSmallError, Network, NetworkSpec,
                          TrainConfig, network_arrays, save_arrays)
 from finimg.nnet.network import dense
 from finimg.schema import FUNDAMENTAL_SECTIONS, SECTION_LABELS
@@ -90,8 +91,18 @@ def test_config_validation():
     (lambda: small_config(arrangement_seed=-3), "arrangement_seed must not be negative, got -3"),
     (lambda: TrainConfig(seed=-1), "seed must not be negative, got -1"),
     (lambda: small_spec(seed=-2), "seed must not be negative, got -2"),
+    # Negative counts fail whether or not a listed method reads them.
+    (lambda: small_config(methods=("mlp",), randomization_runs=-1),
+     "randomization_runs must not be negative, got -1"),
+    (lambda: small_config(methods=("cca", "wcr"), randomization_runs=-1),
+     "randomization_runs must not be negative, got -1"),
+    (lambda: small_config(methods=("wcr", "bcr"), training_seeds=-1),
+     "training_seeds must not be negative, got -1"),
+    (lambda: small_config(methods=("cca",), training_seeds=-1),
+     "training_seeds must not be negative, got -1"),
 ], ids=["repeated_method", "no_training_seeds", "arrangement_seed", "train_seed",
-        "synthetic_seed"])
+        "synthetic_seed", "negative_unused_runs", "negative_runs", "negative_unused_seeds",
+        "negative_seeds"])
 def test_config_rejects_bad_protocol_settings_naming_the_field(build, message):
     with pytest.raises(ValueError) as info:
         build()
@@ -350,6 +361,24 @@ def test_no_test_leakage_in_standardizer_and_autoencoder(dataset):
         assert a.tobytes() == b.tobytes()
 
 
+def test_reduced_hva_keeps_features_chosen_from_the_training_years(dataset):
+    # The test year is unseen at fitting time, so its missing cells must not
+    # decide which features are kept.
+    config = small_config()
+    values = dataset.values.copy()
+    values[np.ix_(dataset.years == 2016, [1, 2, 3])] = np.nan
+    blanked = replace(dataset, values=values)
+    kept = [experiment.prepare_pipeline(config, "reduced_hva", ds, config.train)[0].keep
+            for ds in (dataset, blanked)]
+    assert np.array_equal(kept[0], np.arange(64))
+    assert np.array_equal(kept[1], kept[0])
+    # Blanks in the training years still drop their features.
+    values[np.ix_(dataset.years == 2014, [1, 2])] = np.nan
+    pipe, *_ = experiment.prepare_pipeline(config, "reduced_hva", replace(dataset, values=values),
+                                           config.train)
+    assert np.array_equal(pipe.keep, np.delete(np.arange(66), [1, 2]))
+
+
 def test_pipeline_checkpoint_roundtrip(tmp_path, dataset):
     config = small_config()
     for method in ALL_METHODS:
@@ -575,7 +604,7 @@ def test_load_pipeline_rejects_mis_shaped_parameter(tmp_path, dataset):
     assert arrays["net_param_0001"].shape == (64,)
     arrays["net_param_0001"] = np.array([0.5])
     save_arrays(path, arrays)
-    with pytest.raises(SpecError, match="net_param_0001"):
+    with pytest.raises(CheckpointError, match="net_param_0001"):
         load_pipeline(path)
 
 
@@ -584,7 +613,7 @@ def test_load_pipeline_rejects_a_checkpoint_without_feature_names(tmp_path, data
     assert set(json.loads(str(arrays["meta_json"]))) == {"features", "method"}
     arrays["meta_json"] = np.array(json.dumps({"method": "cca"}))
     save_arrays(path, arrays)
-    with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint records no feature")):
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: checkpoint records no feature")):
         load_pipeline(path)
 
 
@@ -594,7 +623,7 @@ def test_load_pipeline_rejects_unsupported_padding(tmp_path, dataset):
     assert spec_json.count('"padding": "valid"') == 2
     arrays["net_spec_json"] = np.array(spec_json.replace('"valid"', '"same"', 1))
     save_arrays(path, arrays)
-    with pytest.raises(SpecError, match=r"layer 0 \(conv2d\): unsupported padding 'same'"):
+    with pytest.raises(CheckpointError, match=r"layer 0 \(conv2d\): unsupported padding 'same'"):
         load_pipeline(path)
 
 
@@ -698,7 +727,8 @@ def test_load_pipeline_checks_arrays_against_features(tmp_path, dataset, mutate,
     path, arrays = saved_checkpoint(tmp_path, dataset, getattr(mutate, "method", "cca"))
     mutate(arrays)
     save_arrays(path, arrays)
-    with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint key {key!r} {detail}")):
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: checkpoint key {key!r} {detail}")):
         load_pipeline(path)
 
 
@@ -713,7 +743,7 @@ def test_load_pipeline_names_the_missing_key(tmp_path, dataset, method, dropped,
     # to be blamed on another key.
     path, arrays = saved_checkpoint(tmp_path, dataset, method)
     save_arrays(path, {k: v for k, v in arrays.items() if not k.startswith(dropped)})
-    with pytest.raises(ExperimentError, match=re.escape(f"{path}: checkpoint has no key {key!r}")):
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: checkpoint has no key {key!r}")):
         load_pipeline(path)
 
 
@@ -813,26 +843,34 @@ def test_a_failing_fit_raises_the_same_error_pooled_and_in_process(
     assert raised[0] == raised[1]
 
 
-def _python(script: str, blas_threads: str) -> str:
-    """Run a script in a fresh interpreter at the given BLAS thread count; its stdout."""
+def _python(script: str, blas_threads: str, core: str | None = None) -> str:
+    """Run a script in a fresh interpreter at the given BLAS thread count, on
+    the given OpenBLAS core's kernels (None: the ones OpenBLAS picks); its stdout."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-# A fit that ends each epoch on a short batch, at one BLAS thread (OpenBLAS
-# on x86-64). At 2 threads its conv weight gradient would give other bits.
-TAIL_BATCH_HVA_HASH = "666fea160e87b57bd79d9c2214ddea08ce718944c10b6bfedade76421659d2c4"
+# A fit that ends each epoch on a short batch, at one BLAS thread on
+# OpenBLAS's Haswell kernels, which every AVX2 x86-64 CPU runs. At 2
+# threads its conv weight gradient would give other bits, and so may the
+# kernels OpenBLAS picks for another CPU (one set of bits per core).
+PINNED_CORE = "Haswell"
+TAIL_BATCH_HVA_HASH = "5da1f026ef8788df74224fa31ddb03e994e0162df7db605d60d755b741ff408a"
 
 
 def test_every_method_trains_to_one_set_of_bits_on_every_path():
     # Each method's tail-batch fit, and a 330-feature auto-encoder fit of two
     # full 64-row batches (whose forward pass gives other bits at 2 threads),
-    # in process at 2 BLAS threads and at 1, on one usable CPU, and pooled.
+    # in process at 2 BLAS threads and at 1, on one usable CPU, and pooled:
+    # on the pinned core, and on the kernels OpenBLAS picks for this CPU.
     script = """
 import json, os
 from support import parameter_hash, tail_batch_case
@@ -854,12 +892,14 @@ if os.environ["OPENBLAS_NUM_THREADS"] == "2":
     ways["one CPU"] = [parameter_hash(*task) for task in tasks]
 print(json.dumps(ways))
 """
-    ways = {f"{way} at {threads}": hashes
-            for threads in ("2", "1") for way, hashes in json.loads(_python(script, threads)).items()}
-    assert len(ways) == 4
-    assert ways["in process at 1"][ALL_METHODS.index("hva")] == TAIL_BATCH_HVA_HASH
-    for way, hashes in ways.items():
-        assert hashes == ways["in process at 1"], way
+    for core in (PINNED_CORE, None):
+        ways = {f"{way} at {threads}": hashes for threads in ("2", "1")
+                for way, hashes in json.loads(_python(script, threads, core)).items()}
+        assert len(ways) == 4
+        if core == PINNED_CORE:
+            assert ways["in process at 1"][ALL_METHODS.index("hva")] == TAIL_BATCH_HVA_HASH
+        for way, hashes in ways.items():
+            assert hashes == ways["in process at 1"], (core, way)
 
 
 def test_report_bytes_do_not_depend_on_the_pool_size_at_one_blas_thread(tmp_path):
