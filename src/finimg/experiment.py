@@ -449,8 +449,13 @@ class _Checkpoint(dict):
 def load_pipeline(path: str | Path) -> FittedPipeline:
     """The pipeline a checkpoint holds; every failure raises CheckpointError naming the file."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            data = _Checkpoint(archive)
+        with open(path, "rb") as handle:
+            # np.load reads a file without the npz or npy magic as a pickle.
+            if not zipfile.is_zipfile(handle):
+                raise ValueError("not a zip archive")
+            handle.seek(0)  # is_zipfile leaves it at the archive's end record
+            with np.load(handle, allow_pickle=False) as archive:
+                data = _Checkpoint(archive)
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: not an npz checkpoint: {exc}") from None
     try:

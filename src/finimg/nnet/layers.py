@@ -42,11 +42,16 @@ the im2col fills, the conv bias add, the copy of a conv's output gradient
 into its padded buffer, the max pool forward and backward, and ReLU
 forward and backward. ReLU and the pool backward write
 np.where(mask, a, 0.0) in one pass, as a's bits times 0 or 1 (_select).
-No GEMM is split: OpenBLAS picks its kernels by operand shape, and row
-blocks of a GEMM give other bits than the whole on some small-M shapes.
-Every GEMM runs whole on the calling thread, and the conv backward keeps
-its order: the weight-gradient GEMM, then the columns are freed, then the
-input gradient's columns are gathered.
+The conv forward and input-gradient GEMMs run through lanes.matmul, in
+blocks cut at multiples of 64 rows, each of over 10**6 multiply-adds,
+when the output has at least 32 columns: the one split that kept the
+whole GEMM's bits, since OpenBLAS picks its kernels by operand shape
+(see lanes.py). The dense and softmax GEMMs run whole (a batch row each
+is too little work for a lane, and split 12-column softmax outputs gave
+other bits), and so do the weight-gradient GEMMs (they sum over the
+rows, and a 64-aligned column split of conv2's gave other bits). The
+conv backward keeps its order: the weight-gradient GEMM, then the
+columns are freed, then the input gradient's columns are gathered.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ import math
 
 import numpy as np
 
-from .lanes import by_rows
+from .lanes import by_rows, matmul
 
 
 class ShapeMismatchError(ValueError):
@@ -216,7 +221,7 @@ class _Conv(_Weighted):
         n, _, h, w = x.shape
         oh, ow = h - kh + 1, w - kw + 1
         cols = self._im2col(x, kh, kw)
-        out = cols @ weight.transpose(0, 2, 3, 1).reshape(f, -1).T
+        out = matmul(cols, weight.transpose(0, 2, 3, 1).reshape(f, -1).T)
         by_rows(lambda lo, hi: np.add(out[lo:hi], self.bias, out=out[lo:hi]), out)
         self._saved = (cols,) if train else None
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
@@ -237,7 +242,7 @@ class _Conv(_Weighted):
         by_rows(lambda lo, hi: np.copyto(inner[lo:hi], grad[lo:hi]), grad)
         cols_g = self._im2col(gp, kh, kw)
         rot = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * f, c)
-        return (cols_g @ rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        return matmul(cols_g, rot).reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 class Conv1D(_Conv):

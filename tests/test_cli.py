@@ -720,6 +720,13 @@ def test_evaluate_names_a_checkpoint_that_is_not_an_npz(tmp_path, synth_dir, cap
         f"error [evaluate] {path}: not an npz checkpoint: ")
 
 
+def test_evaluate_names_a_plain_npy_file_given_as_a_checkpoint(tmp_path, synth_dir, capsys):
+    path = tmp_path / "model.npy"
+    np.save(path, np.zeros(3))
+    assert evaluate_error(path, synth_dir, capsys) == (
+        f"error [evaluate] {path}: not an npz checkpoint: not a zip archive\n")
+
+
 @pytest.fixture(scope="module")
 def checkpoints(synth_dir, tmp_path_factory, checkpoint_arrays):
     """The arrays of a cca and an autoencoder_sa checkpoint, by method."""

@@ -617,6 +617,24 @@ def test_load_pipeline_rejects_a_checkpoint_without_feature_names(tmp_path, data
         load_pipeline(path)
 
 
+def test_load_pipeline_names_a_text_file_no_npz_checkpoint(tmp_path):
+    # np.load alone calls such a file pickled data and advises an unsafe load.
+    path = tmp_path / "model.npz"
+    path.write_text("garbage\n", encoding="utf-8")
+    with pytest.raises(CheckpointError) as caught:
+        load_pipeline(path)
+    assert str(caught.value) == f"{path}: not an npz checkpoint: not a zip archive"
+
+
+def test_load_pipeline_names_a_plain_npy_file_no_npz_checkpoint(tmp_path):
+    # np.load alone returns its array, which is no context manager.
+    path = tmp_path / "model.npy"
+    np.save(path, np.arange(3.0))
+    with pytest.raises(CheckpointError) as caught:
+        load_pipeline(path)
+    assert str(caught.value) == f"{path}: not an npz checkpoint: not a zip archive"
+
+
 def test_load_pipeline_rejects_unsupported_padding(tmp_path, dataset):
     path, arrays = saved_checkpoint(tmp_path, dataset)
     spec_json = str(arrays["net_spec_json"])

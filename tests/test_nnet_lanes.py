@@ -1,5 +1,6 @@
-"""Row lanes give the bits of one lane, run no layer off the calling
-thread, and fall back to one lane where BLAS cannot be set to one thread."""
+"""Row lanes give the bits of one lane, split a conv GEMM only where the
+split gives the whole GEMM's bits, run no layer off the calling thread,
+and fall back to one lane where BLAS cannot be set to one thread."""
 import os
 import subprocess
 import sys
@@ -9,13 +10,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finimg.nnet import Network, TrainConfig, build_cnn2d, lanes
+from finimg import experiment
+from finimg.nnet import Network, TrainConfig, build_cnn2d, lanes, layers
 from finimg.nnet.layers import Conv1D, Conv2D, Layer, MaxPool1D, MaxPool2D, ReLU
+from finimg.nnet.network import PREDICT_ROWS
 from finimg.nnet.train import train
+from finimg.schema import FUNDAMENTAL_SECTIONS, N_CLASSES
+from finimg.synthetic import SyntheticSpec, generate_synthetic
 from support import channels_last, special_values
+from test_experiment import _python
 
 
 @contextmanager
@@ -134,6 +140,142 @@ def test_more_lanes_than_cpus_fill_every_row_once():
         sys.setswitchinterval(interval)
 
 
+def filled_ranges(n, align, count):
+    """The (lo, hi) ranges by_rows fills over n rows at count lanes, in
+    order, and the threads that filled them."""
+    ranges, threads = [], set()
+
+    def fill(lo, hi):
+        ranges.append((lo, hi))
+        threads.add(threading.get_ident())
+
+    with lanes_at(count):
+        lanes.by_rows(fill, np.zeros((n, 1)), align)
+    return sorted(ranges), threads
+
+
+@pytest.mark.parametrize("align", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_by_rows_cuts_at_multiples_of_align_into_blocks_of_at_least_align(align, count):
+    for n in range(0, 4 * align + 5):
+        ranges, threads = filled_ranges(n, align, count)
+        # The ranges cover 0..n once each, in contiguous order.
+        assert ranges[0][0] == 0 and ranges[-1][1] == n, (n, ranges)
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), (n, ranges)
+        assert all(lo % align == 0 for lo, _ in ranges), (n, ranges)
+        if count == 1 or n < 2 * align:
+            assert ranges == [(0, n)] and threads == {threading.get_ident()}, n
+        else:
+            assert all(hi - lo >= align for lo, hi in ranges), (n, ranges)
+        if align == 1:  # the cuts before align existed
+            k = min(count, n)
+            pieces = min(n, lanes.PIECES * k)
+            cuts = [n * i // pieces for i in range(pieces + 1)] if k >= 2 else [0, n]
+            assert ranges == list(zip(cuts, cuts[1:])), n
+
+
+# The canonical schemas, the 96-feature one of criterion 6 and the
+# 66-feature one of the CI run; (kind, section counts).
+SCHEMAS = [("fundamental", None), ("ratio", None),
+           ("fundamental", {s: 16 for s in FUNDAMENTAL_SECTIONS}),
+           ("fundamental", {s: 11 for s in FUNDAMENTAL_SECTIONS})]
+
+
+def conv_inputs():
+    """The input shape (no batch axis) of every conv classifier that a
+    method builds on these schemas: cnn1d's vector and every method's grid."""
+    shapes = set()
+    for kind, counts in SCHEMAS:
+        spec = SyntheticSpec(n_per_year=N_CLASSES, years=(2016, 2016), kind=kind,
+                             section_counts=counts)
+        ds, config = generate_synthetic(spec), experiment.ExperimentConfig(synthetic=spec)
+        for method in experiment.ALL_METHODS:
+            shape = experiment._layout(config, method, ds, 0)[0].input_shape
+            if len(shape) > 1:
+                shapes.add(shape)
+    return sorted(shapes)
+
+
+def conv_gemms_match_the_whole_gemm(shape, filters, n, seed):
+    """Run each conv of the classifier for shape forward and backward on n
+    rows at two lanes, and check every lanes.matmul call against the whole
+    np.matmul; the (rows, inner, columns, blocks) of the calls, with 0
+    blocks for a GEMM that did not reach by_rows."""
+    if lanes._openblas() is None:
+        pytest.skip("no bundled OpenBLAS: no GEMM is split")
+    spec = experiment.classifier_spec(shape, filters1=filters[0], filters2=filters[1])
+    net, rng, seen, blocks = Network(spec, seed), np.random.default_rng(seed), [], []
+    real_by_rows = lanes.by_rows
+
+    def counted(fill, a, align):
+        real_by_rows(lambda lo, hi: (fill(lo, hi), blocks.append(lo)), a, align)
+
+    def checked(a, b):
+        blocks.clear()
+        split = lanes.matmul(a, b)
+        assert_same_bits(split, np.matmul(a, b))
+        seen.append((*a.shape, b.shape[1], len(blocks)))
+        return split
+
+    shapes = (spec.input_shape, *spec.layer_shapes())
+    with (lanes.one_blas_thread(), lanes_at(2), mock.patch.object(lanes, "by_rows", counted),
+          mock.patch.object(layers, "matmul", checked)):
+        for layer, before, after in zip(net.layers, shapes, shapes[1:]):
+            if isinstance(layer, (Conv1D, Conv2D)):
+                layer.forward(rng.normal(size=(n, *before)), train=True)
+                layer.backward(rng.normal(size=(n, *after)))
+    return seen
+
+
+# Output widths: grid-search takes any positive filter count, so widths
+# on both sides of GEMM_COLUMNS. Rows: 64-row batches and PREDICT_ROWS
+# chunks, and every shorter tail batch or chunk.
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(conv_inputs()),
+       filters=st.tuples(st.integers(1, 128), st.integers(1, 128)),
+       n=st.integers(1, PREDICT_ROWS), seed=st.integers(0, 2**32 - 1))
+# SkylakeX ran the 675 x 27 x 57 input-gradient GEMM whole in its large
+# kernel, and 64-aligned blocks of it in its small-matrix kernel.
+@example(shape=(1, 32, 32), filters=(57, 3), n=3, seed=0)
+def test_conv_gemms_split_over_the_lanes_give_the_bits_of_the_whole(shape, filters, n, seed):
+    assert conv_gemms_match_the_whole_gemm(shape, filters, n, seed)
+
+
+def test_the_default_conv_gemms_split_and_give_the_bits_of_the_whole():
+    # The canonical hva grid at a full batch and a tail batch: the split
+    # runs on both of conv2's GEMMs and on conv1's forward GEMM.
+    for n in (64, 56):
+        seen = conv_gemms_match_the_whole_gemm((1, 32, 32), (64, 32), n, 0)
+        assert [(m, cols, blocks > 1) for m, _, cols, blocks in seen] == [
+            (n * 30 * 30, 64, True), (n * 13 * 13, 32, True), (n * 15 * 15, 64, True)]
+
+
+def test_on_haswell_kernels_the_conv_gemms_split_and_give_the_bits_of_the_whole():
+    # OpenBLAS's kernels for AVX2 CPUs without AVX-512, which every x86-64
+    # runner with AVX2 can run; the name check keeps this from testing the
+    # kernels OpenBLAS picks here a second time.
+    if lanes.openblas_core() is None:
+        pytest.skip("numpy's BLAS does not name its core")
+    script = """
+from finimg.nnet import lanes
+import test_nnet_lanes as t
+print(lanes.openblas_core())
+t.test_the_default_conv_gemms_split_and_give_the_bits_of_the_whole()
+t.test_conv_gemms_split_over_the_lanes_give_the_bits_of_the_whole()
+"""
+    assert _python(script, "2", "Haswell").split() == ["Haswell"]
+
+
+def test_openblas_core_is_none_without_the_symbol(monkeypatch):
+    blas = lanes._openblas()
+    if blas is not None:
+        assert isinstance(lanes.openblas_core(), str) == (blas[2] is not None)
+        monkeypatch.setattr(lanes, "_openblas", lambda: (*blas[:2], None))
+        assert lanes.openblas_core() is None
+    monkeypatch.setattr(lanes, "_openblas", lambda: None)
+    assert lanes.openblas_core() is None
+
+
 def test_a_forked_child_runs_lanes_after_its_parent_did():
     # The child inherits the parent's executor but none of its threads.
     script = """
@@ -234,7 +376,7 @@ def test_the_blas_scope_restores_the_thread_count_and_the_lanes(monkeypatch):
     blas = lanes._openblas()
     if blas is None:
         pytest.skip("no bundled OpenBLAS to set")
-    set_threads, get_threads = blas
+    set_threads, get_threads, _ = blas
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
     before = get_threads()
     set_threads(2)
